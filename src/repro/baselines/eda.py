@@ -25,7 +25,7 @@ from ..core.env import DomainMode
 from ..core.exceptions import PlanningError
 from ..core.items import Item
 from ..core.plan import Plan, PlanBuilder
-from ..core.reward import RewardFunction, batch_rewards
+from ..core.reward import RewardFunction
 from .base import BaselinePlanner
 
 
@@ -103,20 +103,21 @@ class EDAPlanner(BaselinePlanner):
         horizon: int,
         should_stop: Optional[Callable[[], bool]],
     ) -> Plan:
+        """Greedy steps over catalog indices: the affordable unvisited
+        items (catalog order), scored by the index-path Eq. 2 engine, one
+        uniform draw among the maxima per step."""
+        credits = self.catalog.columns.credits
         while len(builder) < horizon:
             if should_stop is not None and should_stop():
                 break
-            candidates = [
-                item
-                for item in builder.remaining_items()
-                if item.credits <= self._budget_left(builder.total_credits)
-            ]
-            if not candidates:
+            cand_idx = builder.remaining_indices()
+            budget_left = self._budget_left(builder.total_credits)
+            cand_idx = cand_idx[credits[cand_idx] <= budget_left]
+            if cand_idx.size == 0:
                 break
-            rewards = batch_rewards(self.reward, builder, candidates)
+            rewards = self.reward.reward_batch(builder, cand_idx)
             winners = np.flatnonzero(rewards == rewards.max())
-            choice = candidates[
-                int(winners[int(self._rng.integers(winners.size))])
-            ]
-            builder.add(choice)
+            pick = int(winners[int(self._rng.integers(winners.size))])
+            choice = cand_idx[pick]
+            builder.add(self.catalog.item_at(int(choice)))
         return builder.build()

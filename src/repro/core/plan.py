@@ -191,13 +191,18 @@ class PlanBuilder:
         ``catalog.item_at`` over this array reproduces
         :meth:`remaining_items` exactly.
         """
+        return np.flatnonzero(self.remaining_mask())
+
+    def remaining_mask(self) -> np.ndarray:
+        """Boolean mask over the catalog: True where the item is unvisited
+        (foreign prefix items occupy no catalog index)."""
         index_map = self._catalog.index_map
         mask = np.ones(len(self._catalog), dtype=bool)
         for item_id in self._positions:
             idx = index_map.get(item_id)
             if idx is not None:
                 mask[idx] = False
-        return np.flatnonzero(mask)
+        return mask
 
     def similarity_state(
         self, template: InterleavingTemplate, mode: SimilarityMode

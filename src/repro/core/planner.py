@@ -18,7 +18,9 @@ scorer, and transfer helpers behind a small API.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .catalog import Catalog
 from .config import PlannerConfig, RecommendationMode
@@ -27,7 +29,7 @@ from .env import DomainMode, TPPEnvironment
 from .exceptions import UntrainedPolicyError
 from .items import Item
 from .plan import Plan
-from .policy import GreedyPolicy
+from .policy import Allowed, GreedyPolicy, live_mask
 from .qtable import QTableBase
 from .reward import RewardFunction
 from .sarsa import ActionSelection, LearningResult
@@ -172,6 +174,16 @@ class RLPlanner:
             return self.config.lookahead_weight
         return self.config.discount
 
+    def _live_mask(self, allowed: Optional[Allowed]) -> Optional[np.ndarray]:
+        """The availability filter as a mask over the policy catalog."""
+        if allowed is None:
+            return None
+        return live_mask(self.qtable.catalog, allowed)
+
+    def _is_live(self, live: np.ndarray, item_id: str) -> bool:
+        idx = self.qtable.catalog.index_map.get(item_id)
+        return idx is not None and bool(live[idx])
+
     def _build_policy(self, lookahead_weight: float) -> GreedyPolicy:
         needs_reward = (
             self.config.mask_invalid_actions
@@ -231,7 +243,7 @@ class RLPlanner:
         horizon: Optional[int] = None,
         should_stop: Optional[Callable[[], bool]] = None,
         stop_when_valid: bool = False,
-        allowed_item_ids: Optional[FrozenSet[str]] = None,
+        allowed_item_ids: Optional[Allowed] = None,
     ) -> Tuple[Optional[Plan], Optional[PlanScore], bool]:
         """Best-so-far recommendation under a stop callback.
 
@@ -243,7 +255,9 @@ class RLPlanner:
         milliseconds), so the callback granularity is one rollout.
 
         ``allowed_item_ids`` restricts every rollout to a live subset of
-        the training catalog (availability churn serving a stale policy).
+        the training catalog (availability churn serving a stale policy):
+        live ids, or a boolean mask over the policy catalog, converted to
+        a mask once for the whole sweep.
 
         Returns ``(plan, score, exhausted)``; ``plan`` is ``None`` when
         the callback fired before the first rollout completed, and
@@ -252,15 +266,13 @@ class RLPlanner:
         sweep additionally short-circuits after the first start whose
         best rollout is hard-constraint valid.
         """
+        live = self._live_mask(allowed_item_ids)
         if start_item_ids is None:
             start_item_ids = [
                 item.item_id
                 for item in self.catalog.primaries()
                 if item.prerequisites.is_empty
-                and (
-                    allowed_item_ids is None
-                    or item.item_id in allowed_item_ids
-                )
+                and (live is None or self._is_live(live, item.item_id))
             ] or [self.catalog.items[0].item_id]
         weights = self._portfolio_weights()
         best: Optional[Tuple[Plan, PlanScore]] = None
@@ -272,8 +284,7 @@ class RLPlanner:
                         return None, None, False
                     return best[0], best[1], False
                 plan = self._build_policy(weight).recommend(
-                    start, horizon=horizon,
-                    allowed_item_ids=allowed_item_ids,
+                    start, horizon=horizon, allowed_item_ids=live,
                 )
                 score = self.scorer.score(plan)
                 key = (score.is_valid, score.value, score.raw_value)
@@ -292,7 +303,7 @@ class RLPlanner:
         prefix_items: Sequence[Item],
         horizon: Optional[int] = None,
         should_stop: Optional[Callable[[], bool]] = None,
-        allowed_item_ids: Optional[FrozenSet[str]] = None,
+        allowed_item_ids: Optional[Allowed] = None,
         scorer: Optional[PlanScorer] = None,
     ) -> Tuple[Optional[Plan], Optional[PlanScore], bool]:
         """Anytime portfolio completion of a committed plan prefix.
@@ -306,6 +317,7 @@ class RLPlanner:
         return shape as :meth:`recommend_anytime`.
         """
         judge = scorer if scorer is not None else self.scorer
+        live = self._live_mask(allowed_item_ids)
         best: Optional[Tuple[Plan, PlanScore]] = None
         best_key = None
         for weight in self._portfolio_weights():
@@ -314,8 +326,7 @@ class RLPlanner:
                     return None, None, False
                 return best[0], best[1], False
             plan = self._build_policy(weight).complete(
-                prefix_items, horizon=horizon,
-                allowed_item_ids=allowed_item_ids,
+                prefix_items, horizon=horizon, allowed_item_ids=live,
             )
             score = judge.score(plan)
             key = (score.is_valid, score.value, score.raw_value)

@@ -15,11 +15,16 @@ Two traversal strategies are provided:
   prefix that ever reached that item; re-evaluating Eq. 2 against the
   true prefix removes that aliasing and recovers the paper's reported
   score levels (the ablation bench compares both).
+
+The traversal runs on catalog indices: the unvisited and live items are
+boolean masks over the policy's catalog, and each step evaluates the
+coverage, gap and feasibility gates once, vectorized over every
+candidate (:meth:`RewardFunction.mask_actions`).
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,7 +36,65 @@ from .items import Item
 from .plan import Plan, PlanBuilder
 from .qtable import QTableBase
 from .config import RecommendationMode
-from .reward import RewardFunction, batch_rewards
+from .reward import GatedActions, RewardFunction
+
+#: An availability filter: live item ids, or a boolean mask over the
+#: policy catalog (True = live).
+Allowed = Union[FrozenSet[str], np.ndarray]
+
+#: Totals within this distance of the running best tie (Algorithm 1's
+#: random tie-breaking among equal values).
+TIE_TOLERANCE = 1e-12
+
+
+def live_mask(
+    catalog: Catalog, allowed: Optional[Allowed]
+) -> Optional[np.ndarray]:
+    """``allowed`` as a boolean mask over ``catalog`` (None stays None).
+
+    Ids outside the catalog are ignored; a mask is checked for shape and
+    passed through unchanged.
+    """
+    if allowed is None:
+        return None
+    if isinstance(allowed, np.ndarray):
+        if allowed.shape != (len(catalog),) or allowed.dtype != bool:
+            raise PlanningError(
+                f"live mask of shape {allowed.shape} does not cover "
+                f"catalog {catalog.name!r} ({len(catalog)} items)"
+            )
+        return allowed
+    index_map = catalog.index_map
+    mask = np.zeros(len(catalog), dtype=bool)
+    mask[[index_map[i] for i in allowed if i in index_map]] = True
+    return mask
+
+
+def tied_winners(totals: np.ndarray) -> np.ndarray:
+    """Positions of the argmax winners of ``totals``, in order.
+
+    Exactly the sequential scan: the running best moves to a total that
+    beats it by more than :data:`TIE_TOLERANCE`, and totals within the
+    tolerance of the running best join its winner list.  When every
+    total either equals the maximum or trails it by more than four
+    tolerances (exact ties; the common case) the scan provably selects
+    exactly the totals equal to the maximum, found in one array pass.
+    """
+    best = totals.max()
+    tol = TIE_TOLERANCE
+    if abs(best) < 1e4:  # the float spacing stays far below the tolerance
+        top = totals == best
+        if not (~top & (totals >= best - 4 * tol)).any():
+            return np.flatnonzero(top)
+    best_value = -np.inf
+    winners: list = []
+    for j, total in enumerate(totals.tolist()):
+        if total > best_value + tol:
+            best_value = total
+            winners = [j]
+        elif abs(total - best_value) <= tol:
+            winners.append(j)
+    return np.asarray(winners, dtype=np.int64)
 
 
 class GreedyPolicy:
@@ -91,7 +154,7 @@ class GreedyPolicy:
         start_item_id: str,
         horizon: Optional[int] = None,
         require_trained: bool = True,
-        allowed_item_ids: Optional[FrozenSet[str]] = None,
+        allowed_item_ids: Optional[Allowed] = None,
     ) -> Plan:
         """Produce a plan of up to ``horizon`` items starting at the item.
 
@@ -105,10 +168,12 @@ class GreedyPolicy:
             When True, refuse to recommend from a never-updated table
             (all-zero Q would otherwise yield an arbitrary plan).
         allowed_item_ids:
-            Optional availability filter: only these ids may be chosen
-            (and only they contribute continuation value).  Lets a
-            policy trained on the full catalog serve a live universe
-            where some items have closed, without retraining.
+            Optional availability filter — live ids, or a boolean mask
+            over :attr:`catalog` (see :func:`live_mask`): only these
+            items may be chosen (and only they contribute continuation
+            value).  Lets a policy trained on the full catalog serve a
+            live universe where some items have closed, without
+            retraining.
         """
         catalog = self.catalog
         if start_item_id not in catalog:
@@ -116,10 +181,8 @@ class GreedyPolicy:
                 f"start item {start_item_id!r} not in catalog "
                 f"{catalog.name!r}"
             )
-        if (
-            allowed_item_ids is not None
-            and start_item_id not in allowed_item_ids
-        ):
+        live = live_mask(catalog, allowed_item_ids)
+        if live is not None and not live[catalog.index_of(start_item_id)]:
             raise PlanningError(
                 f"start item {start_item_id!r} is not in the allowed "
                 f"(live) item set"
@@ -128,14 +191,14 @@ class GreedyPolicy:
         self._check_trained(require_trained, h)
         builder = PlanBuilder(catalog)
         builder.add(catalog[start_item_id])
-        return self._extend(builder, start_item_id, h, allowed_item_ids)
+        return self._extend(builder, h, live)
 
     def complete(
         self,
         prefix_items: Sequence[Item],
         horizon: Optional[int] = None,
         require_trained: bool = True,
-        allowed_item_ids: Optional[FrozenSet[str]] = None,
+        allowed_item_ids: Optional[Allowed] = None,
     ) -> Plan:
         """Extend a committed plan prefix to the horizon.
 
@@ -154,7 +217,9 @@ class GreedyPolicy:
         builder = PlanBuilder(self.catalog)
         for item in prefix:
             builder.add(item)
-        return self._extend(builder, prefix[-1].item_id, h, allowed_item_ids)
+        return self._extend(
+            builder, h, live_mask(self.catalog, allowed_item_ids)
+        )
 
     def _check_trained(self, require_trained: bool, horizon: int) -> None:
         if require_trained and self.qtable.update_count == 0 and horizon > 1:
@@ -166,122 +231,83 @@ class GreedyPolicy:
     def _extend(
         self,
         builder: PlanBuilder,
-        current: str,
         horizon: int,
-        allowed_item_ids: Optional[FrozenSet[str]],
+        live: Optional[np.ndarray],
     ) -> Plan:
-        while len(builder) < horizon:
-            candidates = self._allowed_actions(builder, allowed_item_ids)
-            if not candidates:
-                break
-            if self.recommendation is RecommendationMode.LOOKAHEAD:
-                next_id = self._lookahead_choice(
-                    builder, candidates, allowed_item_ids
-                )
-            else:
-                next_id = self._q_only_choice(current, candidates)
-            builder.add_by_id(next_id)
-            current = next_id
+        """Greedy steps over index masks until the horizon.
 
-        return builder.build()
-
-    def _q_only_choice(self, current: str, candidates: Sequence[Item]) -> str:
-        """Literal Algorithm-1 argmax of the stored Q row.
-
-        Runs on catalog indices (``best_action_idx``) so the traversal
-        never rebuilds id lists per step; equivalent to the id-based
-        ``best_action`` — same winner set, order, and tie-break draws —
-        which remains the fallback when ``current`` is a foreign prefix
-        item outside the catalog index.
+        ``pool`` (unvisited and live) is both the candidate set and the
+        continuation set; in trip mode candidates must also fit the
+        remaining time budget.
         """
         catalog = self.catalog
-        index_map = catalog.index_map
-        state_idx = index_map.get(current)
-        if state_idx is None:
-            return self.qtable.best_action(
-                current, [c.item_id for c in candidates], rng=self._rng
-            )
-        cand_idx = np.fromiter(
-            (index_map[item.item_id] for item in candidates),
-            dtype=np.int64,
-            count=len(candidates),
-        )
-        chosen = self.qtable.best_action_idx(state_idx, cand_idx, rng=self._rng)
-        return catalog.item_at(chosen).item_id
+        credits = catalog.columns.credits
+        pool = builder.remaining_mask()
+        if live is not None:
+            pool &= live
+        while len(builder) < horizon:
+            pool_idx = np.flatnonzero(pool)
+            cand_idx = pool_idx
+            if self.mode is DomainMode.TRIP:
+                budget_left = (
+                    self.task.hard.min_credits - builder.total_credits
+                )
+                cand_idx = cand_idx[credits[cand_idx] <= budget_left + 1e-9]
+            gated: Optional[GatedActions] = None
+            if self.mask and self.reward is not None:
+                gated = self.reward.mask_actions(builder, cand_idx)
+                cand_idx = gated.idx
+            if cand_idx.size == 0:
+                break
+            if self.recommendation is RecommendationMode.LOOKAHEAD:
+                chosen = self._lookahead_choice(
+                    builder, cand_idx if gated is None else gated, pool_idx
+                )
+            else:
+                chosen = self._q_only_choice(builder, cand_idx)
+            builder.add(catalog.item_at(chosen))
+            pool[chosen] = False
+        return builder.build()
+
+    def _q_only_choice(
+        self, builder: PlanBuilder, cand_idx: np.ndarray
+    ) -> int:
+        """Literal Algorithm-1 argmax of the stored Q row.
+
+        A foreign last prefix item has no Q row: ``index_of`` refuses
+        it (:class:`UnknownItemError`).
+        """
+        state_idx = self.catalog.index_of(builder.last_item.item_id)
+        return self.qtable.best_action_idx(state_idx, cand_idx, rng=self._rng)
 
     def _lookahead_choice(
         self,
         builder: PlanBuilder,
-        candidates: Sequence[Item],
-        allowed_item_ids: Optional[FrozenSet[str]] = None,
-    ) -> str:
+        candidates: Union[np.ndarray, GatedActions],
+        pool_idx: np.ndarray,
+    ) -> int:
         """argmax over a of ``R(s, a) + gamma * max_b Q(a, b)``.
 
-        The immediate term comes from the batched reward engine and the
-        continuation term from the backend's ``best_continuation`` (a
-        sliced vectorized ``max`` on the dense table, a stored-entry
-        scan on the sparse one — identical results either way).
+        The immediate term comes from the batched reward engine (reusing
+        the step's gates when masking ran) and the continuation term
+        from the backend's ``best_continuation`` over the unvisited live
+        items (a sliced vectorized ``max`` on the dense table, a
+        stored-entry scan on the sparse one — identical results either
+        way).
         """
-        catalog = self.catalog
-        remaining_idx = builder.remaining_indices()
-        if allowed_item_ids is not None:
-            # Closed items must not contribute continuation value either.
-            keep = np.fromiter(
-                (
-                    catalog.item_at(int(i)).item_id in allowed_item_ids
-                    for i in remaining_idx
-                ),
-                dtype=bool,
-                count=len(remaining_idx),
-            )
-            remaining_idx = remaining_idx[keep]
-        index_map = catalog.index_map
-        cand_idx = np.fromiter(
-            (index_map[item.item_id] for item in candidates),
-            dtype=np.int64,
-            count=len(candidates),
+        cand_idx = (
+            candidates.idx
+            if isinstance(candidates, GatedActions)
+            else candidates
         )
-        future = self.qtable.best_continuation(cand_idx, remaining_idx)
-
-        rewards = batch_rewards(self.reward, builder, candidates)
+        future = self.qtable.best_continuation(cand_idx, pool_idx)
+        rewards = self.reward.reward_batch(builder, candidates)
         totals = rewards + self.discount * future
-
-        best_value = -np.inf
-        winners: list = []
-        for action, total in zip(candidates, totals.tolist()):
-            if total > best_value + 1e-12:
-                best_value = total
-                winners = [action.item_id]
-            elif abs(total - best_value) <= 1e-12:
-                winners.append(action.item_id)
-        if len(winners) > 1 and self._rng is not None:
-            return winners[int(self._rng.integers(len(winners)))]
-        return winners[0]
-
-    def _allowed_actions(
-        self,
-        builder: PlanBuilder,
-        allowed_item_ids: Optional[FrozenSet[str]] = None,
-    ) -> Tuple[Item, ...]:
-        """Unvisited items (trip mode: also within the time budget),
-        gate-masked when a reward function is attached."""
-        remaining = builder.remaining_items()
-        if allowed_item_ids is not None:
-            remaining = tuple(
-                item
-                for item in remaining
-                if item.item_id in allowed_item_ids
-            )
-        if self.mode is DomainMode.TRIP:
-            budget_left = self.task.hard.min_credits - builder.total_credits
-            remaining = tuple(
-                item
-                for item in remaining
-                if item.credits <= budget_left + 1e-9
-            )
-        if self.mask and self.reward is not None:
-            return self.reward.mask_actions(builder, remaining)
-        return remaining
+        winners = tied_winners(totals)
+        pick = 0
+        if winners.size > 1 and self._rng is not None:
+            pick = int(self._rng.integers(winners.size))
+        return int(cand_idx[winners[pick]])
 
     def recommend_many(
         self, start_item_ids: Sequence[str], horizon: Optional[int] = None

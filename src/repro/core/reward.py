@@ -26,15 +26,17 @@ catalog + task + config into a single callable.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .catalog import Catalog
 from .config import PlannerConfig
-from .constraints import TaskSpec
+from .constraints import HardConstraints, TaskSpec
+from .exceptions import PlanningError
 from .items import Item
 from .plan import PlanBuilder
 from .similarity import aggregate_similarity
@@ -61,14 +63,48 @@ class RewardBreakdown:
         return self.r1_coverage * self.r2_gap
 
 
+class GatedActions(NamedTuple):
+    """One step's gated action set over catalog indices.
+
+    What :meth:`RewardFunction.mask_actions` returns for an index-array
+    input: ``idx`` holds the winning tier's catalog indices (input
+    order kept) and ``theta`` the Eq. 5 gate ``r1 * r2`` of each, so
+    the step's Eq. 2 totals (:meth:`RewardFunction.batch_components`)
+    read the gates the tiering already evaluated.
+    """
+
+    idx: np.ndarray
+    theta: np.ndarray
+
+
+class _PrereqArrays(NamedTuple):
+    """Every item's prerequisite CNF, flattened for reduceat passes.
+
+    Members are tokenized rather than index-mapped because prerequisite
+    edges may reference ids outside the catalog (out-of-program
+    antecedents) and plan positions may contain foreign prefix items —
+    both take part in gap checks by id, not by catalog index.
+    """
+
+    carriers: np.ndarray  # catalog index of each item with antecedents
+    group_counts: np.ndarray  # CNF groups per carrier
+    item_group_starts: np.ndarray  # first group of each carrier
+    group_starts: np.ndarray  # first member of each group
+    member_tokens: np.ndarray  # token of each group member
+    token_index: Dict[str, int]  # member id -> token
+    group_owner: np.ndarray  # carrier position of each group
+    member_group: np.ndarray  # group of each member
+    token_items: np.ndarray  # catalog index of each token (-1: foreign)
+
+
 class _CatalogView:
     """Task-specific vectorized columns over one catalog.
 
     Combines the catalog's generic :class:`~repro.core.catalog.CatalogColumns`
     with everything the batch reward derives from the *task/config* pair:
     the ideal-topic incidence submatrix, the per-item type/category
-    weight vector, and the indices of prerequisite-carrying items.
-    Built once per (reward, catalog) pair and cached.
+    weight vector, and the flattened prerequisite CNF.  Built once per
+    (reward, catalog) pair and cached.
     """
 
     def __init__(
@@ -85,7 +121,12 @@ class _CatalogView:
         ideal_cols = sorted(
             cols.topic_index[t] for t in ideal if t in cols.topic_index
         )
-        self.ideal_matrix = cols.topic_matrix[:, ideal_cols]
+        ideal_matrix = cols.topic_matrix[:, ideal_cols]
+        # The Eq. 3 gain of a candidate is its ideal-topic count minus
+        # its already-covered ones: one BLAS matrix-vector product
+        # (float sums of a few ones are exact).
+        self.ideal_counts = ideal_matrix.sum(axis=1)
+        self.ideal_float = ideal_matrix.astype(np.float32)
         # topic -> position inside the ideal submatrix, for the running
         # covered-ideal vector.
         vocabulary_positions = {
@@ -108,20 +149,21 @@ class _CatalogView:
                 if weight is not None:
                     weights[cols.category_codes == code] = weight
         self.item_weights = weights
+        self.category_codes: Dict[str, int] = {
+            category: code for code, category in enumerate(cols.categories)
+        }
         # Flattened prerequisite CNF (built lazily on first batched gap
         # or reachability evaluation; None until then).
-        self._prereq_arrays: Optional[Tuple] = None
+        self._prereq_arrays: Optional[_PrereqArrays] = None
         self._catalog_ref = weakref.ref(catalog)
 
-    def _build_prereq_arrays(self):
-        """Flatten every item's CNF groups into reduceat-ready arrays.
+    def _prereqs(self) -> _PrereqArrays:
+        arrays = self._prereq_arrays
+        if arrays is None:
+            arrays = self._prereq_arrays = self._build_prereq_arrays()
+        return arrays
 
-        Members are tokenized rather than index-mapped because
-        prerequisite edges may reference ids outside the catalog
-        (out-of-program antecedents) and plan positions may contain
-        foreign prefix items — both participate in gap checks by id, not
-        by catalog index.
-        """
+    def _build_prereq_arrays(self) -> _PrereqArrays:
         catalog = self._catalog_ref()
         carriers: List[int] = []
         group_counts: List[int] = []
@@ -141,200 +183,284 @@ class _CatalogView:
                 for member in sorted(group):
                     token = token_index.setdefault(member, len(token_index))
                     member_tokens.append(token)
-        self._prereq_arrays = (
-            np.asarray(carriers, dtype=np.int64),
-            np.asarray(group_counts, dtype=np.int64),
-            np.asarray(item_group_starts, dtype=np.int64),
-            np.asarray(group_starts, dtype=np.int64),
-            np.asarray(member_tokens, dtype=np.int64),
-            token_index,
+        counts = np.asarray(group_counts, dtype=np.int64)
+        starts = np.asarray(group_starts, dtype=np.int64)
+        sizes = np.diff(np.append(starts, len(member_tokens)))
+        index_map = catalog.index_map
+        return _PrereqArrays(
+            carriers=np.asarray(carriers, dtype=np.int64),
+            group_counts=counts,
+            item_group_starts=np.asarray(item_group_starts, dtype=np.int64),
+            group_starts=starts,
+            member_tokens=np.asarray(member_tokens, dtype=np.int64),
+            token_index=token_index,
+            group_owner=np.repeat(np.arange(counts.size), counts),
+            member_group=np.repeat(np.arange(starts.size), sizes),
+            token_items=np.fromiter(
+                (index_map.get(member, -1) for member in token_index),
+                dtype=np.int64,
+                count=len(token_index),
+            ),
         )
-        return self._prereq_arrays
+
+    def group_satisfied(
+        self, positions: Dict[str, int], at_position: int, gap: int
+    ) -> np.ndarray:
+        """Per flattened CNF group: does it hold a member placed at
+        least ``gap`` positions before ``at_position``?
+
+        A member counts iff it is in ``positions`` (foreign prefix items
+        included) with ``at_position - position >= gap`` — exactly the
+        scalar ``Prerequisites.satisfied_by`` semantics.
+        """
+        arrays = self._prereqs()
+        if arrays.group_starts.size == 0:
+            return np.zeros(0, dtype=bool)
+        token_pos = np.full(len(arrays.token_index), -1, dtype=np.int64)
+        for item_id, position in positions.items():
+            token = arrays.token_index.get(item_id)
+            if token is not None:
+                token_pos[token] = position
+        member_pos = token_pos[arrays.member_tokens]
+        member_ok = (member_pos >= 0) & (at_position - member_pos >= gap)
+        return np.add.reduceat(member_ok, arrays.group_starts) > 0
+
+    def item_satisfied(self, group_sat: np.ndarray) -> np.ndarray:
+        """Per catalog index: no antecedents, or every group satisfied."""
+        arrays = self._prereqs()
+        out = np.ones(len(self.cols.primary_mask), dtype=bool)
+        if arrays.carriers.size:
+            sat_groups = np.add.reduceat(
+                group_sat.astype(np.int64), arrays.item_group_starts
+            )
+            out[arrays.carriers] = sat_groups == arrays.group_counts
+        return out
 
     def prereq_satisfied(
         self, positions: Dict[str, int], at_position: int, gap: int
     ) -> np.ndarray:
-        """Vectorized ``Prerequisites.satisfied_by`` over the whole catalog.
-
-        Returns a boolean vector per catalog index: True where the item
-        has no antecedents or every CNF group holds a member placed at
-        least ``gap`` positions before ``at_position``.  Exactly the
-        scalar semantics — a group member counts iff it is in
-        ``positions`` (foreign prefix items included) with
-        ``at_position - position >= gap``.
-        """
-        arrays = self._prereq_arrays
-        if arrays is None:
-            arrays = self._build_prereq_arrays()
-        (
-            carriers,
-            group_counts,
-            item_group_starts,
-            group_starts,
-            member_tokens,
-            token_index,
-        ) = arrays
-        out = np.ones(len(self.cols.primary_mask), dtype=bool)
-        if carriers.size == 0:
-            return out
-        token_pos = np.full(len(token_index), -1, dtype=np.int64)
-        for item_id, position in positions.items():
-            token = token_index.get(item_id)
-            if token is not None:
-                token_pos[token] = position
-        member_pos = token_pos[member_tokens]
-        member_ok = (member_pos >= 0) & (at_position - member_pos >= gap)
-        group_sat = np.add.reduceat(member_ok, group_starts) > 0
-        sat_groups = np.add.reduceat(
-            group_sat.astype(np.int64), item_group_starts
+        """Vectorized ``Prerequisites.satisfied_by`` over the whole catalog."""
+        return self.item_satisfied(
+            self.group_satisfied(positions, at_position, gap)
         )
-        out[carriers] = sat_groups == group_counts
-        return out
 
-    def covered_ideal(self, topics) -> np.ndarray:
-        """Boolean vector over the ideal columns covered by ``topics``."""
-        covered = np.zeros(self.ideal_matrix.shape[1], dtype=bool)
+    def fixer_pairs(
+        self, group_sat: np.ndarray, open_items: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(fixer, fixed)`` catalog-index pairs for the open items.
+
+        Placing ``fixer`` now satisfies every unsatisfied group of the
+        open (``open_items`` mask) item ``fixed``: ``fixer`` lies in the
+        intersection of those groups, i.e. it is counted once per
+        unsatisfied group.  Foreign members fix nothing a candidate
+        could be.
+        """
+        arrays = self._prereqs()
+        none = np.zeros(0, dtype=np.int64)
+        if group_sat.size == 0:
+            return none, none
+        open_groups = ~group_sat & open_items[
+            arrays.carriers[arrays.group_owner]
+        ]
+        if not open_groups.any():
+            return none, none
+        unsatisfied = np.bincount(
+            arrays.group_owner[open_groups], minlength=arrays.carriers.size
+        )
+        members = open_groups[arrays.member_group]
+        owners = arrays.group_owner[arrays.member_group[members]]
+        n_tokens = len(arrays.token_index)
+        keys, counts = np.unique(
+            owners * n_tokens + arrays.member_tokens[members],
+            return_counts=True,
+        )
+        owners, tokens = np.divmod(keys, n_tokens)
+        common = counts == unsatisfied[owners]
+        fixers = arrays.token_items[tokens[common]]
+        fixed = arrays.carriers[owners[common]]
+        known = fixers >= 0
+        return fixers[known], fixed[known]
+
+    def coverage_gain(self, topics, cand_idx: np.ndarray) -> np.ndarray:
+        """New ideal topics each candidate adds to the covered ``topics``."""
+        covered = np.zeros(self.ideal_float.shape[1], dtype=np.float32)
         positions = self.ideal_positions
         for topic in topics:
             pos = positions.get(topic)
             if pos is not None:
-                covered[pos] = True
-        return covered
+                covered[pos] = 1.0
+        hits = (self.ideal_float @ covered)[cand_idx]
+        return self.ideal_counts[cand_idx] - hits.astype(np.int64)
 
 
-class _CategoryPoolStats:
-    """Per-category aggregates of a feasibility pool.
+class _CategoryPool(NamedTuple):
+    """One category's share of the reachable pool: size, primaries and
+    the two smallest distinct credit values (with the multiplicity of
+    the smallest), so one member's exclusion is an O(1) adjustment."""
 
-    Carries exactly what `_joint_feasible` needs — count, primary count,
-    and the two smallest distinct credit values (with multiplicity of
-    the smallest) so one item's exclusion can be applied in O(1) without
-    rebuilding the pool.
-    """
+    count: int
+    primaries: int
+    min1: float
+    min1_count: int
+    min2: float
 
-    __slots__ = ("count", "primaries", "min1", "min1_count", "min2")
 
-    def __init__(self) -> None:
-        self.count = 0
-        self.primaries = 0
-        self.min1 = float("inf")
-        self.min1_count = 0
-        self.min2 = float("inf")
-
-    def add(self, item: Item) -> None:
-        self.count += 1
-        if item.is_primary:
-            self.primaries += 1
-        credits = item.credits
-        if credits < self.min1:
-            self.min2 = self.min1
-            self.min1 = credits
-            self.min1_count = 1
-        elif credits == self.min1:
-            self.min1_count += 1
-        elif credits < self.min2:
-            self.min2 = credits
-
-    def min_without(self, credits: float) -> float:
-        """Smallest credit value if one item worth ``credits`` left."""
-        if credits == self.min1 and self.min1_count == 1:
-            return self.min2
-        return self.min1
+def _haversine_vec(
+    lat1: float, lon1: float, lat2: np.ndarray, lon2: np.ndarray
+) -> np.ndarray:
+    """:func:`haversine_km` from one point to many, as one array pass."""
+    radius_km = 6371.0088
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
+    dphi = np.radians(lat2 - lat1)
+    dlmb = np.radians(lon2 - lon1)
+    a = (
+        np.sin(dphi / 2.0) ** 2
+        + np.cos(phi1) * np.cos(phi2) * np.sin(dlmb / 2.0) ** 2
+    )
+    return 2.0 * radius_km * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
 class _FeasibilityContext:
-    """One step's feasibility pool, checkable per candidate in O(1).
+    """One step's feasibility pool, checked for many candidates at once.
 
     Produced by :meth:`RewardFunction._feasibility_context`;
-    :meth:`check` reproduces :meth:`RewardFunction.feasibility_gate`
-    exactly (primary split, joint category minima, distance budget)
-    against the shared aggregates instead of a per-candidate pool
-    rebuild.
+    :meth:`check` decides for a whole candidate index array exactly what
+    the definitional gate decides one candidate at a time by rebuilding
+    the pool (primary split, reachability, joint category minima,
+    distance budget), as array adjustments of the shared aggregates.
     """
 
     __slots__ = (
-        "reward",
-        "index_map",
+        "hard",
+        "cols",
         "slots_after",
         "base_primaries",
         "reachable",
         "reachable_primaries",
-        "category_stats",
-        "fixers",
+        "fixer_primaries",
+        "category_pools",
+        "fixer_pools",
+        "category_codes",
         "base_earned",
-        "distance_applies",
         "base_distance",
         "last_coords",
     )
 
-    def __init__(
-        self,
-        reward: "RewardFunction",
-        index_map: Dict[str, int],
-        slots_after: int,
-        base_primaries: int,
-        reachable: np.ndarray,
-        reachable_primaries: int,
-        category_stats: Dict[str, _CategoryPoolStats],
-        fixers: Dict[str, List[Item]],
-        base_earned: Dict[str, float],
-        distance_applies: bool,
-        base_distance: float,
-        last_coords: Optional[Tuple[float, float]],
-    ) -> None:
-        self.reward = reward
-        self.index_map = index_map
-        self.slots_after = slots_after
-        self.base_primaries = base_primaries
-        self.reachable = reachable
-        self.reachable_primaries = reachable_primaries
-        self.category_stats = category_stats
-        self.fixers = fixers
-        self.base_earned = base_earned
-        self.distance_applies = distance_applies
-        self.base_distance = base_distance
-        self.last_coords = last_coords
+    def __init__(self, **fields) -> None:
+        for name, value in fields.items():
+            setattr(self, name, value)
 
-    def check(self, cand: Item) -> bool:
-        """Would the plan stay completable after taking ``cand``?"""
-        hard = self.reward.task.hard
-        primaries_have = self.base_primaries + (1 if cand.is_primary else 0)
-        primaries_short = max(0, hard.num_primary - primaries_have)
-        if primaries_short > self.slots_after:
-            return False
-        fixed = self.fixers.get(cand.item_id, ())
-        idx = self.index_map.get(cand.item_id)
-        cand_reachable = idx is not None and bool(self.reachable[idx])
+    def check(self, cand_idx: np.ndarray) -> np.ndarray:
+        """Would the plan stay completable after taking each candidate?"""
+        hard: HardConstraints = self.hard
+        primary = self.cols.primary_mask[cand_idx]
+        primaries_short = np.maximum(
+            0, hard.num_primary - (self.base_primaries + primary)
+        )
+        cand_reachable = self.reachable[cand_idx]
         unused_primaries = (
             self.reachable_primaries
-            - (1 if cand.is_primary and cand_reachable else 0)
-            + sum(1 for other in fixed if other.is_primary)
+            - (primary & cand_reachable)
+            + self.fixer_primaries[cand_idx]
         )
-        if primaries_short > unused_primaries:
-            return False
-        if hard.category_credit_map and not self.reward._joint_feasible_pooled(
-            cand,
-            self.category_stats,
-            self.base_earned,
-            fixed,
-            cand_reachable,
-            self.slots_after,
-            primaries_short,
-            unused_primaries,
-        ):
-            return False
-        if self.distance_applies:
-            lat, lon = cand.meta("lat"), cand.meta("lon")
-            if lat is not None and lon is not None:
-                assert self.last_coords is not None
-                total = self.base_distance + haversine_km(
-                    self.last_coords[0],
-                    self.last_coords[1],
-                    float(lat),  # type: ignore[arg-type]
-                    float(lon),  # type: ignore[arg-type]
+        ok = (primaries_short <= self.slots_after) & (
+            primaries_short <= unused_primaries
+        )
+        if hard.category_credit_map:
+            ok &= self._joint_feasible(
+                cand_idx, primary, cand_reachable,
+                primaries_short, unused_primaries,
+            )
+        if self.last_coords is not None:
+            ok &= self._distance_feasible(cand_idx)
+        return ok
+
+    def _joint_feasible(
+        self,
+        cand_idx: np.ndarray,
+        primary: np.ndarray,
+        cand_reachable: np.ndarray,
+        primaries_short: np.ndarray,
+        unused_primaries: np.ndarray,
+    ) -> np.ndarray:
+        """Category minima and the primary quota, checked *jointly*.
+
+        The two constraints interact: when the remaining slots are all
+        forced to be primary, a category whose unused pool is all
+        secondary can no longer be filled.  Categories partition items,
+        so a greedy assignment that prefers primaries inside each
+        category's demand is exact.  Against the pooled aggregates, each
+        category's pool loses the candidate (when it is a reachable
+        member) and gains the items the candidate fixes.
+        """
+        cols = self.cols
+        credits = cols.credits[cand_idx]
+        codes = cols.category_codes[cand_idx]
+        n = cand_idx.size
+        ok = np.ones(n, dtype=bool)
+        slots_used = np.zeros(n, dtype=np.int64)
+        primaries_covered = np.zeros(n, dtype=np.int64)
+        for category, minimum in self.hard.category_credit_map.items():
+            in_cat = codes == self.category_codes.get(category, -2)
+            base = self.base_earned.get(category, 0.0)
+            shortfall = minimum - np.where(in_cat, base + credits, base)
+            short = shortfall > 1e-9
+            if not short.any():
+                continue
+            pool = self.category_pools.get(category)
+            if pool is None:
+                count = np.zeros(n, dtype=np.int64)
+                lowest = np.full(n, np.inf)
+                pool_primaries = np.zeros(n, dtype=np.int64)
+            else:
+                leaving = cand_reachable & in_cat
+                count = pool.count - leaving
+                lowest = np.where(
+                    leaving & (credits == pool.min1) & (pool.min1_count == 1),
+                    pool.min2,
+                    pool.min1,
                 )
-                if total > hard.max_distance + 1e-9:
-                    return False
-        return True
+                pool_primaries = pool.primaries - (leaving & primary)
+            fixed = self.fixer_pools.get(category)
+            if fixed is not None:
+                fixed_count, fixed_lowest, fixed_primaries = fixed
+                count = count + fixed_count[cand_idx]
+                lowest = np.minimum(lowest, fixed_lowest[cand_idx])
+                pool_primaries = pool_primaries + fixed_primaries[cand_idx]
+            ok &= ~(short & (count == 0))
+            fits = short & (count > 0)
+            needed = np.zeros(n, dtype=np.int64)
+            needed[fits] = -np.floor_divide(-shortfall[fits], lowest[fits])
+            ok &= needed <= count
+            slots_used += needed
+            primaries_covered += np.minimum(needed, pool_primaries)
+        primaries_left = np.maximum(0, primaries_short - primaries_covered)
+        return (
+            ok
+            & (slots_used <= self.slots_after)
+            & (primaries_left <= self.slots_after - slots_used)
+            & (primaries_left <= unused_primaries)
+        )
+
+    def _distance_feasible(self, cand_idx: np.ndarray) -> np.ndarray:
+        """Trip distance budget not blown by the leg to each candidate."""
+        cols = self.cols
+        lat0, lon0 = self.last_coords
+        limit = self.hard.max_distance + 1e-9
+        has = cols.has_coords[cand_idx]
+        total = self.base_distance + _haversine_vec(
+            lat0, lon0, cols.lat[cand_idx], cols.lon[cand_idx]
+        )
+        over = has & (total > limit)
+        # numpy's sin/cos kernels may round differently from libm's:
+        # candidates near the limit are settled with the scalar formula.
+        for j in np.flatnonzero(has & (np.abs(total - limit) <= 1e-6)):
+            i = int(cand_idx[j])
+            leg = haversine_km(
+                lat0, lon0, float(cols.lat[i]), float(cols.lon[i])
+            )
+            over[j] = self.base_distance + leg > limit
+        return ~over
 
 
 class RewardFunction:
@@ -430,135 +556,12 @@ class RewardFunction:
         through the weighted reward and Theorem 1's argument — but used
         as an *action mask* alongside r1/r2 so the greedy traversal never
         paints itself into a corner on the primary split, the Univ-2
-        per-category credit minima, or the trip distance threshold.
+        per-category credit minima, or the trip distance threshold.  One
+        catalog item through :meth:`feasible_mask`.
         """
-        hard = self.task.hard
-        slots_after = hard.plan_length - (len(builder) + 1)
-        if slots_after < 0:
-            return False
+        return bool(self.feasible_mask(builder, (item,))[0])
 
-        # Primary split: enough primary slots and unused primaries left.
-        primaries_have = sum(
-            1 for chosen in builder.items if chosen.is_primary
-        ) + (1 if item.is_primary else 0)
-        primaries_short = max(0, hard.num_primary - primaries_have)
-        if primaries_short > slots_after:
-            return False
-        # Future positions that matter for reachability: a pooled item
-        # can still enter the plan only if each of its prerequisite
-        # groups has a member already placed (counting the candidate)
-        # early enough to satisfy the gap by the final slot.
-        future_positions = dict(builder.positions)
-        future_positions[item.item_id] = len(builder)
-        last_slot = hard.plan_length - 1
-        unused = [
-            other
-            for other in builder.remaining_items()
-            if other.item_id != item.item_id
-            and self._reachable(other, future_positions, last_slot)
-        ]
-        unused_primaries = sum(1 for other in unused if other.is_primary)
-        if primaries_short > unused_primaries:
-            return False
-
-        if not self._joint_feasible(
-            builder, item, unused, slots_after, primaries_short
-        ):
-            return False
-        return self._distance_feasible(builder, item)
-
-    def _reachable(self, item: Item, positions, last_slot: int) -> bool:
-        """Could ``item`` still legally enter the plan by the final slot?
-
-        Conservative filter for feasibility pools: an item with an
-        unsatisfied prerequisite group whose members are all absent from
-        the (projected) plan cannot be scheduled any more.  Items whose
-        prerequisites might *themselves* still be added later are
-        counted as unreachable — a stricter gate only makes validity
-        more robust.
-        """
-        if item.prerequisites.is_empty:
-            return True
-        return item.prerequisites.satisfied_by(
-            positions, last_slot, self.task.hard.gap
-        )
-
-    def _joint_feasible(
-        self,
-        builder: PlanBuilder,
-        item: Item,
-        unused,
-        slots_after: int,
-        primaries_short: int,
-    ) -> bool:
-        """Category minima and the primary quota, checked *jointly*.
-
-        The two constraints interact: when the remaining slots are all
-        forced to be primary, a category whose unused pool is all
-        secondary can no longer be filled.  Categories partition items,
-        so a greedy assignment that prefers primaries inside each
-        category's demand is exact.
-        """
-        minima = self.task.hard.category_credit_map
-        if not minima:
-            return True
-        earned: Dict[str, float] = {}
-        for chosen in builder.items:
-            if chosen.category is not None:
-                earned[chosen.category] = (
-                    earned.get(chosen.category, 0.0) + chosen.credits
-                )
-        if item.category is not None:
-            earned[item.category] = (
-                earned.get(item.category, 0.0) + item.credits
-            )
-
-        slots_used = 0
-        primaries_covered = 0
-        for category, minimum in minima.items():
-            shortfall = minimum - earned.get(category, 0.0)
-            if shortfall <= 1e-9:
-                continue
-            pool = [o for o in unused if o.category == category]
-            if not pool:
-                return False
-            per_item = min(o.credits for o in pool)
-            needed = int(-(-shortfall // per_item))  # ceil division
-            if needed > len(pool):
-                return False
-            slots_used += needed
-            # Prefer primaries inside the demand: they double-count
-            # toward the primary quota.
-            pool_primaries = sum(1 for o in pool if o.is_primary)
-            primaries_covered += min(needed, pool_primaries)
-
-        if slots_used > slots_after:
-            return False
-        primaries_left = max(0, primaries_short - primaries_covered)
-        free_slots = slots_after - slots_used
-        if primaries_left > free_slots:
-            return False
-        unused_primaries = sum(1 for o in unused if o.is_primary)
-        return primaries_left <= unused_primaries
-
-    def _distance_feasible(self, builder: PlanBuilder, item: Item) -> bool:
-        """Trip distance budget not blown by the leg to ``item``."""
-        max_distance = self.task.hard.max_distance
-        if max_distance is None or not builder.items:
-            return True
-        coords = []
-        for chosen in list(builder.items) + [item]:
-            lat, lon = chosen.meta("lat"), chosen.meta("lon")
-            if lat is None or lon is None:
-                return True  # no geo data: nothing to enforce
-            coords.append((float(lat), float(lon)))
-        total = sum(
-            haversine_km(a[0], a[1], b[0], b[1])
-            for a, b in zip(coords, coords[1:])
-        )
-        return total <= max_distance + 1e-9
-
-    def mask_actions(self, builder: PlanBuilder, candidates) -> tuple:
+    def mask_actions(self, builder: PlanBuilder, candidates):
         """Tiered action masking used by the environment and recommender.
 
         Hard-constraint feasibility dominates the (soft) topic-coverage
@@ -570,58 +573,44 @@ class RewardFunction:
         4. r2,
         5. everything               (episodes never deadlock).
 
-        All three gates are evaluated batched (one pass of shared
-        per-step state instead of per-candidate rescans); the tier
-        semantics and candidate ordering are unchanged.
+        The three gates are evaluated once, vectorized over all
+        candidates (:meth:`_tiers`); candidate order is kept.  Given a
+        catalog-index array it returns the step's :class:`GatedActions`
+        — the tier plus its theta, which is uniform within a tier (1 in
+        tiers 1 and 3, 0 elsewhere) — for :meth:`batch_components` to
+        reuse.  Given items it returns the tier's items.
         """
-        candidates = tuple(candidates)
-        if not candidates:
-            return candidates
-        cand_idx = self._candidate_indices(builder.catalog, candidates)
-        if cand_idx is None:
-            return self._mask_actions_scalar(builder, candidates)
+        if isinstance(candidates, np.ndarray):
+            keep, theta = self._tiers(builder, candidates)
+            idx = candidates[keep]
+            return GatedActions(idx, np.full(idx.size, theta))
+        items = tuple(candidates)
+        if not items:
+            return items
+        keep, _theta = self._tiers(
+            builder, self._catalog_indices(builder.catalog, items)
+        )
+        return tuple(itertools.compress(items, keep.tolist()))
 
+    def _tiers(
+        self, builder: PlanBuilder, cand_idx: np.ndarray
+    ) -> Tuple[np.ndarray, bool]:
+        """The winning tier as a mask over ``cand_idx``, and its theta."""
+        n = cand_idx.size
+        if n == 0:
+            return np.zeros(0, dtype=bool), False
         view = self._view(builder.catalog)
-        gap_ok_mask = self._gap_mask(builder, view, candidates, cand_idx)
-        gap_ok = tuple(
-            item for item, ok in zip(candidates, gap_ok_mask.tolist()) if ok
-        )
-        feasible_mask = self.feasible_mask(builder, gap_ok)
-        feasible = tuple(
-            item for item, ok in zip(gap_ok, feasible_mask.tolist()) if ok
-        )
-        covered_mask = self._coverage_mask(builder, view, cand_idx)
-        covered_by_id = {
-            item.item_id: ok
-            for item, ok in zip(candidates, covered_mask.tolist())
-        }
+        covered = self._coverage_mask(builder, view, cand_idx)
+        gap_ok = self._gap_mask_idx(builder, view, cand_idx)
+        feasible = np.zeros(n, dtype=bool)
+        feasible[gap_ok] = self.feasible_mask(builder, cand_idx[gap_ok])
         for tier in (feasible, gap_ok):
-            covered = tuple(
-                item for item in tier if covered_by_id[item.item_id]
-            )
-            if covered:
-                return covered
-            if tier:
-                return tier
-        return candidates
-
-    def _mask_actions_scalar(self, builder: PlanBuilder, candidates) -> tuple:
-        """Per-item fallback for candidates outside the catalog index."""
-        gap_ok = tuple(
-            item for item in candidates if self.gap_gate(builder, item)
-        )
-        feasible = tuple(
-            item for item in gap_ok if self.feasibility_gate(builder, item)
-        )
-        for tier in (feasible, gap_ok):
-            covered = tuple(
-                item for item in tier if self.coverage_gate(builder, item)
-            )
-            if covered:
-                return covered
-            if tier:
-                return tier
-        return candidates
+            both = tier & covered
+            if both.any():
+                return both, True
+            if tier.any():
+                return tier, False
+        return np.ones(n, dtype=bool), False
 
     # ------------------------------------------------------------------
     # Batched evaluation (one step, all candidates)
@@ -641,6 +630,22 @@ class RewardFunction:
             out[j] = idx
         return out
 
+    def _catalog_indices(
+        self, catalog: Catalog, candidates: Sequence[Item]
+    ) -> np.ndarray:
+        """Catalog indices of the candidates; a foreign one is an error."""
+        cand_idx = self._candidate_indices(catalog, candidates)
+        if cand_idx is None:
+            foreign = next(
+                item.item_id
+                for item in candidates
+                if item.item_id not in catalog.index_map
+            )
+            raise PlanningError(
+                f"candidate {foreign!r} is not in catalog {catalog.name!r}"
+            )
+        return cand_idx
+
     def _coverage_mask(
         self,
         builder: PlanBuilder,
@@ -648,55 +653,8 @@ class RewardFunction:
         cand_idx: np.ndarray,
     ) -> np.ndarray:
         """Vectorized ``r1`` (Eq. 3) over candidate indices."""
-        covered = view.covered_ideal(builder.covered_topics)
-        gained = (view.ideal_matrix[cand_idx] & ~covered).sum(axis=1)
+        gained = view.coverage_gain(builder.covered_topics, cand_idx)
         return gained >= self._coverage_needed
-
-    def _gap_mask(
-        self,
-        builder: PlanBuilder,
-        view: _CatalogView,
-        candidates: Sequence[Item],
-        cand_idx: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized ``r2`` (Eq. 4) over candidates.
-
-        The theme-adjacency check is a single matrix row intersection;
-        prerequisite CNF checks run only for the (typically few)
-        candidates that actually carry antecedents, against one shared
-        positions snapshot.
-        """
-        ok = np.ones(len(candidates), dtype=bool)
-        cols = view.cols
-        if self.task.hard.theme_adjacency_gap:
-            last = builder.last_item
-            if last is not None:
-                last_idx = builder.catalog.index_map.get(last.item_id)
-                if last_idx is not None:
-                    overlap = (
-                        cols.topic_matrix[cand_idx]
-                        & cols.topic_matrix[last_idx]
-                    ).any(axis=1)
-                else:
-                    overlap = np.fromiter(
-                        (
-                            bool(last.topics & item.topics)
-                            for item in candidates
-                        ),
-                        dtype=bool,
-                        count=len(candidates),
-                    )
-                ok &= ~overlap
-        if cols.has_prereqs[cand_idx].any():
-            positions = builder.positions
-            at_position = len(builder)
-            gap = self.task.hard.gap
-            for j, item in enumerate(candidates):
-                if ok[j] and not item.prerequisites.is_empty:
-                    ok[j] = item.prerequisites.satisfied_by(
-                        positions, at_position, gap
-                    )
-        return ok
 
     def _gap_mask_idx(
         self,
@@ -706,34 +664,25 @@ class RewardFunction:
     ) -> np.ndarray:
         """``r2`` (Eq. 4) over catalog indices, fully vectorized.
 
-        Same semantics as :meth:`_gap_mask` but never materializes Item
-        objects: the prerequisite CNF is evaluated in one
-        :meth:`_CatalogView.prereq_satisfied` pass instead of a Python
-        loop, which is what lets the pruned/multi-episode paths screen
-        whole catalogs.
+        The theme-adjacency check is one column slice of the topic
+        matrix (the last item's topics, which may be a foreign prefix
+        item's); the prerequisite CNF is evaluated in one
+        :meth:`_CatalogView.prereq_satisfied` pass against the shared
+        positions snapshot.
         """
         ok = np.ones(cand_idx.size, dtype=bool)
         cols = view.cols
         if self.task.hard.theme_adjacency_gap:
             last = builder.last_item
             if last is not None:
-                last_idx = builder.catalog.index_map.get(last.item_id)
-                if last_idx is not None:
-                    overlap = (
-                        cols.topic_matrix[cand_idx]
-                        & cols.topic_matrix[last_idx]
-                    ).any(axis=1)
-                else:
-                    catalog = builder.catalog
-                    overlap = np.fromiter(
-                        (
-                            bool(last.topics & catalog.item_at(int(i)).topics)
-                            for i in cand_idx
-                        ),
-                        dtype=bool,
-                        count=cand_idx.size,
-                    )
-                ok &= ~overlap
+                last_cols = [
+                    cols.topic_index[t]
+                    for t in last.topics
+                    if t in cols.topic_index
+                ]
+                ok &= ~cols.topic_matrix[np.ix_(cand_idx, last_cols)].any(
+                    axis=1
+                )
         if cols.has_prereqs[cand_idx].any():
             satisfied = view.prereq_satisfied(
                 builder.positions, len(builder), self.task.hard.gap
@@ -750,15 +699,15 @@ class RewardFunction:
         gap) over every candidate index.  Stage 2 sorts the surviving
         pool by its *exact* reward — inside the covered-and-gap-ok tier
         ``theta == 1``, so ``delta*sim + beta*weight`` is the Eq. 2
-        value itself, not merely an upper bound — and walks it in
-        descending order, feasibility-checking lazily against one shared
-        :class:`_FeasibilityContext`, keeping the first ``top_k``
-        feasible candidates *plus every tie at the boundary value*.
+        value itself, not merely an upper bound — feasibility-checks the
+        sorted pool in one vectorized pass, and keeps the first
+        ``top_k`` feasible candidates *plus every tie at the boundary
+        value*.
 
         Soundness: the unpruned path's winning tier is exactly the
         feasible members of this pool (tier 1 of :meth:`mask_actions`),
         and its argmax winner set is the feasible candidates attaining
-        the maximal reward — all of which this scan keeps (they sort
+        the maximal reward — all of which this cut keeps (they sort
         first).  Returning the kept indices in ascending catalog order
         preserves the relative candidate order, so the downstream argmax
         — including the tie-break RNG draw — is bit-identical to the
@@ -771,11 +720,9 @@ class RewardFunction:
         covered = self._coverage_mask(builder, view, cand_idx)
         gap_ok = self._gap_mask_idx(builder, view, cand_idx)
         pool = cand_idx[covered & gap_ok]
-        if pool.size == 0:
-            return self._mask_actions_full_fallback(builder, cand_idx)
-        ctx = self._feasibility_context(builder)
+        ctx = self._feasibility_context(builder) if pool.size else None
         if ctx is None:
-            return self._mask_actions_full_fallback(builder, cand_idx)
+            return self._mask_items(builder, cand_idx)
 
         template = self.task.soft.template
         if len(builder) + 1 > template.length:
@@ -791,42 +738,33 @@ class RewardFunction:
             + self.config.weights.beta * view.item_weights[pool]
         )
         order = np.argsort(-rewards, kind="stable")
-        kept: List[int] = []
-        kept_min = float("inf")
-        for rank in order.tolist():
-            value = float(rewards[rank])
-            if len(kept) >= top_k and value < kept_min:
-                break
-            index = int(pool[rank])
-            if ctx.check(catalog.item_at(index)):
-                kept.append(index)
-                kept_min = value
-        if not kept:
-            return self._mask_actions_full_fallback(builder, cand_idx)
-        kept.sort()
+        ranked = order[ctx.check(pool[order])]
+        if ranked.size > top_k:
+            boundary = rewards[ranked[top_k - 1]]
+            ranked = ranked[rewards[ranked] >= boundary]
+        if ranked.size == 0:
+            return self._mask_items(builder, cand_idx)
+        kept = np.sort(pool[ranked]).tolist()
         return tuple(catalog.item_at(i) for i in kept)
 
-    def _mask_actions_full_fallback(
-        self, builder: PlanBuilder, cand_idx: np.ndarray
-    ) -> tuple:
-        """Materialize the candidate indices and run the unpruned cascade."""
+    def _mask_items(self, builder: PlanBuilder, cand_idx: np.ndarray) -> tuple:
+        """The unpruned tier cascade over indices, as catalog items."""
         catalog = builder.catalog
-        candidates = tuple(
-            catalog.item_at(int(i)) for i in cand_idx.tolist()
-        )
-        return self.mask_actions(builder, candidates)
+        gated = self.mask_actions(builder, cand_idx)
+        return tuple(catalog.item_at(i) for i in gated.idx.tolist())
 
     def _feasibility_context(
         self, builder: PlanBuilder
-    ) -> Optional["_FeasibilityContext"]:
+    ) -> Optional[_FeasibilityContext]:
         """Per-step feasibility pool shared by every candidate check.
 
-        Builds, once, everything :meth:`feasibility_gate` recomputes per
-        candidate: the reachability of the remaining pool (vectorized
-        through :meth:`_CatalogView.prereq_satisfied`), the primary
-        count, the per-category credit aggregates, the candidate-fixable
-        items, and the travelled-distance base.  Returns None when no
-        slot remains (every candidate infeasible).
+        Builds, once, everything a per-candidate gate would recompute
+        for every candidate: the reachability of the remaining pool and,
+        from the same CNF group pass, the items each candidate would make
+        reachable ("fixers", as per-index count vectors); the primary
+        count; the per-category credit aggregates; and the travelled-
+        distance base.  Returns None when no slot remains (every
+        candidate infeasible).
         """
         hard = self.task.hard
         slots_after = hard.plan_length - (len(builder) + 1)
@@ -834,66 +772,55 @@ class RewardFunction:
             return None
 
         catalog = builder.catalog
+        n = len(catalog)
         view = self._view(catalog)
         cols = view.cols
-        positions = builder.positions
-        k = len(builder)
         last_slot = hard.plan_length - 1
-        gap = hard.gap
-        candidate_can_fix = last_slot - k >= gap
         minima = hard.category_credit_map
 
         # Base reachability of the pool under the current positions; a
         # candidate can only *add* reachability when it is a member of
-        # every unsatisfied OR-group of a pooled item.
-        remaining_idx = builder.remaining_indices()
-        satisfied = view.prereq_satisfied(positions, last_slot, gap)
-        remaining_sat = satisfied[remaining_idx]
-        reachable_idx = remaining_idx[remaining_sat]
-        reachable = np.zeros(len(catalog), dtype=bool)
-        reachable[reachable_idx] = True
-        reachable_primaries = int(cols.primary_mask[reachable_idx].sum())
+        # every unsatisfied group of a pooled item.
+        remaining = builder.remaining_mask()
+        group_sat = view.group_satisfied(
+            builder.positions, last_slot, hard.gap
+        )
+        reachable = remaining & view.item_satisfied(group_sat)
+        if last_slot - len(builder) >= hard.gap:
+            fixers, fixed = view.fixer_pairs(group_sat, remaining)
+        else:
+            fixers = fixed = np.zeros(0, dtype=np.int64)
 
-        category_stats: Dict[str, _CategoryPoolStats] = {}
-        if minima:
-            category_index = {c: i for i, c in enumerate(cols.categories)}
-            pool_codes = cols.category_codes[reachable_idx]
-            for category in minima:
-                code = category_index.get(category)
-                if code is None:
-                    continue
-                sel = reachable_idx[pool_codes == code]
-                if sel.size == 0:
-                    continue
-                stats = _CategoryPoolStats()
-                credits = cols.credits[sel]
-                stats.count = int(sel.size)
-                stats.primaries = int(cols.primary_mask[sel].sum())
-                min1 = float(credits.min())
-                stats.min1 = min1
-                stats.min1_count = int((credits == min1).sum())
-                above = credits[credits > min1]
-                stats.min2 = float(above.min()) if above.size else float("inf")
-                category_stats[category] = stats
-
-        fixers: Dict[str, List[Item]] = {}
-        if candidate_can_fix:
-            for i in remaining_idx[~remaining_sat].tolist():
-                other = catalog.item_at(i)
-                unsatisfied = [
-                    group
-                    for group in other.prerequisites.groups
-                    if not any(
-                        member in positions
-                        and last_slot - positions[member] >= gap
-                        for member in group
-                    )
-                ]
-                common = frozenset.intersection(*unsatisfied)
-                for fixer_id in common:
-                    fixers.setdefault(fixer_id, []).append(other)
-
+        category_pools: Dict[str, _CategoryPool] = {}
+        fixer_pools: Dict[str, Tuple[np.ndarray, ...]] = {}
         base_earned: Dict[str, float] = {}
+        for category in minima:
+            code = view.category_codes.get(category)
+            if code is None:
+                continue
+            in_cat = cols.category_codes == code
+            sel = reachable & in_cat
+            if sel.any():
+                credits = cols.credits[sel]
+                min1 = float(credits.min())
+                above = credits[credits > min1]
+                category_pools[category] = _CategoryPool(
+                    count=int(np.count_nonzero(sel)),
+                    primaries=int(np.count_nonzero(cols.primary_mask[sel])),
+                    min1=min1,
+                    min1_count=int(np.count_nonzero(credits == min1)),
+                    min2=float(above.min()) if above.size else float("inf"),
+                )
+            fixed_in = in_cat[fixed]
+            if fixed_in.any():
+                by, items = fixers[fixed_in], fixed[fixed_in]
+                lowest = np.full(n, np.inf)
+                np.minimum.at(lowest, by, cols.credits[items])
+                fixer_pools[category] = (
+                    np.bincount(by, minlength=n),
+                    lowest,
+                    np.bincount(by[cols.primary_mask[items]], minlength=n),
+                )
         if minima:
             for chosen in builder.items:
                 if chosen.category is not None:
@@ -901,145 +828,98 @@ class RewardFunction:
                         base_earned.get(chosen.category, 0.0) + chosen.credits
                     )
 
-        max_distance = hard.max_distance
-        distance_applies = max_distance is not None and len(builder) > 0
         base_distance = 0.0
         last_coords: Optional[Tuple[float, float]] = None
-        if distance_applies:
+        if hard.max_distance is not None and len(builder) > 0:
             coords = []
             for chosen in builder.items:
                 lat, lon = chosen.meta("lat"), chosen.meta("lon")
                 if lat is None or lon is None:
-                    distance_applies = False  # no geo data: nothing to enforce
-                    break
+                    break  # no geo data: nothing to enforce
                 coords.append((float(lat), float(lon)))
-            if distance_applies:
+            else:
                 for a, b in zip(coords, coords[1:]):
                     base_distance += haversine_km(a[0], a[1], b[0], b[1])
                 last_coords = coords[-1]
 
         return _FeasibilityContext(
-            reward=self,
-            index_map=catalog.index_map,
+            hard=hard,
+            cols=cols,
             slots_after=slots_after,
             base_primaries=builder.num_primary,
             reachable=reachable,
-            reachable_primaries=reachable_primaries,
-            category_stats=category_stats,
-            fixers=fixers,
+            reachable_primaries=int(
+                np.count_nonzero(cols.primary_mask & reachable)
+            ),
+            fixer_primaries=np.bincount(
+                fixers[cols.primary_mask[fixed]], minlength=n
+            ),
+            category_pools=category_pools,
+            fixer_pools=fixer_pools,
+            category_codes=view.category_codes,
             base_earned=base_earned,
-            distance_applies=distance_applies,
             base_distance=base_distance,
             last_coords=last_coords,
         )
 
     def feasible_mask(
-        self, builder: PlanBuilder, candidates: Sequence[Item]
+        self, builder: PlanBuilder, candidates
     ) -> np.ndarray:
-        """Vectorized :meth:`feasibility_gate` over many candidates.
+        """The lookahead feasibility mask (:meth:`feasibility_gate`) over
+        many candidates.
 
-        The feasibility pool (remaining items, their reachability, the
+        ``candidates`` is a catalog-index array or a sequence of catalog
+        items.  The feasibility pool (remaining items, their
+        reachability, the items each candidate would fix, the
         per-category credit aggregates, the travelled distance) is
-        computed *once* per step (:meth:`_feasibility_context`) and
-        adjusted per candidate in O(1) amortized, instead of rebuilt per
-        candidate.
+        computed *once* per step (:meth:`_feasibility_context`), then
+        every candidate is checked in one array pass.
         """
-        candidates = tuple(candidates)
-        out = np.zeros(len(candidates), dtype=bool)
-        if not candidates:
-            return out
+        if not isinstance(candidates, np.ndarray):
+            candidates = self._catalog_indices(
+                builder.catalog, tuple(candidates)
+            )
+        if candidates.size == 0:
+            return np.zeros(0, dtype=bool)
         ctx = self._feasibility_context(builder)
         if ctx is None:
-            return out
-        for j, cand in enumerate(candidates):
-            out[j] = ctx.check(cand)
-        return out
-
-    def _joint_feasible_pooled(
-        self,
-        cand: Item,
-        category_stats: Dict[str, _CategoryPoolStats],
-        base_earned: Dict[str, float],
-        fixed: Sequence[Item],
-        cand_reachable: bool,
-        slots_after: int,
-        primaries_short: int,
-        unused_primaries: int,
-    ) -> bool:
-        """`_joint_feasible` against precomputed pool aggregates."""
-        minima = self.task.hard.category_credit_map
-        slots_used = 0
-        primaries_covered = 0
-        for category, minimum in minima.items():
-            earned = base_earned.get(category, 0.0)
-            if cand.category == category:
-                earned += cand.credits
-            shortfall = minimum - earned
-            if shortfall <= 1e-9:
-                continue
-            stats = category_stats.get(category)
-            if stats is None:
-                pool_count = 0
-                pool_min = float("inf")
-                pool_primaries = 0
-            else:
-                pool_count = stats.count
-                pool_min = stats.min1
-                pool_primaries = stats.primaries
-                if cand_reachable and cand.category == category:
-                    pool_count -= 1
-                    pool_min = stats.min_without(cand.credits)
-                    if cand.is_primary:
-                        pool_primaries -= 1
-            for other in fixed:
-                if other.category == category:
-                    pool_count += 1
-                    pool_min = min(pool_min, other.credits)
-                    if other.is_primary:
-                        pool_primaries += 1
-            if pool_count == 0:
-                return False
-            per_item = pool_min
-            needed = int(-(-shortfall // per_item))  # ceil division
-            if needed > pool_count:
-                return False
-            slots_used += needed
-            primaries_covered += min(needed, pool_primaries)
-
-        if slots_used > slots_after:
-            return False
-        primaries_left = max(0, primaries_short - primaries_covered)
-        free_slots = slots_after - slots_used
-        if primaries_left > free_slots:
-            return False
-        return primaries_left <= unused_primaries
+            return np.zeros(candidates.size, dtype=bool)
+        return ctx.check(candidates)
 
     def batch_components(
-        self, builder: PlanBuilder, candidates: Sequence[Item]
+        self, builder: PlanBuilder, candidates
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized Eq. 2 components for every candidate.
 
-        Returns ``(theta, similarity, type_weight, total)`` arrays
-        aligned with ``candidates``; values equal the per-item
-        :meth:`breakdown` fields exactly (the equality is pinned by
-        tests).  Similarity is evaluated through the plan builder's
-        incremental state: since every candidate extends the same prefix
-        at the same position, only two aggregated similarities exist —
-        one per item type — and each costs O(|IT|).
+        ``candidates`` is a sequence of items, a catalog-index array, or
+        this step's :class:`GatedActions` (whose theta is reused rather
+        than recomputed).  Returns ``(theta, similarity, type_weight,
+        total)`` arrays aligned with the candidates; values equal the
+        per-item :meth:`breakdown` fields exactly (the equality is
+        pinned by tests).  Similarity is evaluated through the plan
+        builder's incremental state: since every candidate extends the
+        same prefix at the same position, only two aggregated
+        similarities exist — one per item type — and each costs
+        O(|IT|).
         """
-        candidates = tuple(candidates)
-        n = len(candidates)
+        theta: Optional[np.ndarray] = None
+        if isinstance(candidates, GatedActions):
+            cand_idx, theta = candidates
+        elif isinstance(candidates, np.ndarray):
+            cand_idx = candidates
+        else:
+            items = tuple(candidates)
+            cand_idx = self._candidate_indices(builder.catalog, items)
+            if cand_idx is None:
+                return self._batch_components_scalar(builder, items)
+        n = cand_idx.size
         if n == 0:
             empty = np.zeros(0, dtype=np.float64)
             return np.zeros(0, dtype=bool), empty, empty.copy(), empty.copy()
-        catalog = builder.catalog
-        cand_idx = self._candidate_indices(catalog, candidates)
-        if cand_idx is None:
-            return self._batch_components_scalar(builder, candidates)
-        view = self._view(catalog)
-
-        theta = self._coverage_mask(builder, view, cand_idx)
-        theta &= self._gap_mask(builder, view, candidates, cand_idx)
+        view = self._view(builder.catalog)
+        if theta is None:
+            theta = self._coverage_mask(builder, view, cand_idx)
+            theta &= self._gap_mask_idx(builder, view, cand_idx)
 
         template = self.task.soft.template
         if len(builder) + 1 > template.length or not theta.any():
@@ -1078,14 +958,12 @@ class RewardFunction:
             totals[j] = b.total
         return theta, sims, weights, totals
 
-    def reward_batch(
-        self, builder: PlanBuilder, candidates: Sequence[Item]
-    ) -> np.ndarray:
+    def reward_batch(self, builder: PlanBuilder, candidates) -> np.ndarray:
         """Equation-2 rewards for all candidates as one float64 vector.
 
-        Semantically identical to ``[self(builder, c) for c in
-        candidates]`` but O(|I|) per step instead of
-        O(|I| * (|I| + k*|IT|)).
+        Takes what :meth:`batch_components` takes.  Semantically
+        identical to ``[self(builder, c) for c in candidates]`` but
+        O(|I|) per step instead of O(|I| * (|I| + k*|IT|)).
         """
         return self.batch_components(builder, candidates)[3]
 
@@ -1097,70 +975,13 @@ class RewardFunction:
         """Eq. 2 rewards for many (builder, candidate-set) pairs at once.
 
         All builders must share one catalog; ``cand_idx_lists[e]`` holds
-        catalog indices of episode ``e``'s candidates.  Bit-identical to
-        calling :meth:`reward_batch` per episode (the per-element float
-        operations are the same), but the coverage gate runs as one
-        stacked matrix reduction over the concatenated candidates — the
-        reduction whose fixed per-call overhead dominates small steps,
-        which is what makes episode-batched SARSA training pay off.
+        catalog indices of episode ``e``'s candidates.  Each pair goes
+        through the index path of :meth:`reward_batch`, so the result is
+        bit-identical to calling it per episode.
         """
-        if not builders:
-            return []
-        view = self._view(builders[0].catalog)
-        counts = [int(np.asarray(ci).size) for ci in cand_idx_lists]
-        offsets = np.concatenate(
-            [[0], np.cumsum(np.asarray(counts, dtype=np.int64))]
-        )
-        total = int(offsets[-1])
-        if total == 0:
-            return [np.zeros(0, dtype=np.float64) for _ in counts]
-        cand_arrays = [
-            np.asarray(ci, dtype=np.int64).ravel() for ci in cand_idx_lists
-        ]
-        cand_all = np.concatenate(cand_arrays)
-        ep_of = np.repeat(np.arange(len(builders)), counts)
-
-        covered_rows = np.stack(
-            [view.covered_ideal(b.covered_topics) for b in builders]
-        )
-        gained = (view.ideal_matrix[cand_all] & ~covered_rows[ep_of]).sum(
-            axis=1
-        )
-        theta = gained >= self._coverage_needed
-        for e, b in enumerate(builders):
-            lo, hi = int(offsets[e]), int(offsets[e + 1])
-            if hi == lo:
-                continue
-            theta[lo:hi] &= self._gap_mask_idx(b, view, cand_arrays[e])
-
-        sims = np.zeros(total, dtype=np.float64)
-        template = self.task.soft.template
-        for e, b in enumerate(builders):
-            lo, hi = int(offsets[e]), int(offsets[e + 1])
-            if hi == lo:
-                continue
-            theta_seg = theta[lo:hi]
-            if len(b) + 1 > template.length or not theta_seg.any():
-                continue
-            state = b.similarity_state(template, self.config.similarity)
-            sim_primary, sim_secondary = state.peek_types()
-            seg = np.where(
-                view.cols.primary_mask[cand_arrays[e]],
-                sim_primary,
-                sim_secondary,
-            )
-            sims[lo:hi] = np.where(theta_seg, seg, 0.0)
-
-        weights = view.item_weights[cand_all]
-        totals = np.where(
-            theta,
-            self.config.weights.delta * sims
-            + self.config.weights.beta * weights,
-            0.0,
-        )
         return [
-            totals[int(offsets[e]) : int(offsets[e + 1])]
-            for e in range(len(builders))
+            self.reward_batch(builder, np.asarray(ci, dtype=np.int64).ravel())
+            for builder, ci in zip(builders, cand_idx_lists)
         ]
 
     # ------------------------------------------------------------------

@@ -223,7 +223,7 @@ class SarsaLearner:
         episode_batch:
             Number of episodes rolled out concurrently, with each
             round's reward-greedy action selections funnelled through a
-            single stacked reward call (``reward_batch_multi``).  The
+            single reward call (``reward_batch_multi``).  The
             default 1 runs the original per-episode loop byte-for-byte.
             With N > 1 episodes are processed in fixed groups of N and
             each group advances in *slot-major rounds*; training is
@@ -569,7 +569,7 @@ class SarsaLearner:
         order ``valid_actions`` yields), and the chosen action comes
         back as a catalog index.  RNG order contract (all draws from
         ``self._rng``): exploration coins and uniform picks first, in
-        request order; then — for reward-greedy slots — one stacked
+        request order; then — for reward-greedy slots — one
         ``reward_batch_multi`` call (no draws) followed by the tie-break
         draws in request order.  Q-greedy slots draw their tie-breaks in
         request order instead of the reward call.
@@ -606,7 +606,7 @@ class SarsaLearner:
             for j, rewards in zip(greedy, rewards_list):
                 rewards_by_slot[j] = rewards
         else:
-            # Custom reward wrappers without the stacked entry point
+            # Custom reward wrappers without the multi-episode entry point
             # fall back to one batched call per slot.
             for j in greedy:
                 env, s_idx, cand_idx = requests[j]

@@ -16,13 +16,15 @@ course the student refused.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+import itertools
+from typing import Optional
 
 import numpy as np
 
+from ..core.catalog import Catalog
 from ..core.items import Item
 from ..core.plan import PlanBuilder
-from ..core.reward import RewardBreakdown, RewardFunction
+from ..core.reward import GatedActions, RewardBreakdown, RewardFunction
 from .store import FeedbackStore
 
 
@@ -106,39 +108,63 @@ class FeedbackAdjustedReward:
         """Adjusted Equation-2 value."""
         return self.breakdown(builder, item).total
 
-    def reward_batch(
-        self, builder: PlanBuilder, candidates: Sequence[Item]
-    ) -> np.ndarray:
+    def preferences(self, catalog: Catalog) -> np.ndarray:
+        """The store's preferences as a vector over ``catalog`` indices
+        (0.0 for unrated items; rated ids outside the catalog ignored)."""
+        index_map = catalog.index_map
+        prefs = np.zeros(len(catalog), dtype=np.float64)
+        for item_id in self.store.rated_items():
+            idx = index_map.get(item_id)
+            if idx is not None:
+                prefs[idx] = self.store.preference(item_id)
+        return prefs
+
+    def reward_batch(self, builder: PlanBuilder, candidates) -> np.ndarray:
         """Vectorized adjusted rewards (batched base + preference term).
 
-        Matches the per-item :meth:`__call__` exactly: the preference
-        bonus applies only to theta-gated-in actions and the adjusted
-        total is clamped at zero.
+        ``candidates`` are catalog items, catalog indices, or a step's
+        :class:`GatedActions`.  Matches the per-item :meth:`__call__`
+        exactly: the preference bonus applies only to theta-gated-in
+        actions and the adjusted total is clamped at zero.
         """
-        candidates = tuple(candidates)
+        if not isinstance(candidates, (np.ndarray, GatedActions)):
+            candidates = self.base._catalog_indices(
+                builder.catalog, tuple(candidates)
+            )
         theta, _sims, _weights, totals = self.base.batch_components(
             builder, candidates
         )
-        if not candidates:
-            return totals
-        preference = self.store.preference
-        prefs = np.fromiter(
-            (preference(item.item_id) for item in candidates),
-            dtype=np.float64,
-            count=len(candidates),
+        cand_idx = (
+            candidates.idx
+            if isinstance(candidates, GatedActions)
+            else candidates
         )
+        prefs = self.preferences(builder.catalog)[cand_idx]
         adjusted = np.maximum(0.0, totals + self.feedback_weight * prefs)
         return np.where(theta, adjusted, totals)
 
-    def mask_actions(self, builder: PlanBuilder, candidates) -> tuple:
-        """Base tiered masking plus hard rejection of refused items."""
+    def mask_actions(self, builder: PlanBuilder, candidates):
+        """Base tiered masking plus hard rejection of refused items.
+
+        Rejection is a preference mask over the candidates' catalog
+        indices, skipped when it would reject every candidate.
+        Index-array input returns the base's :class:`GatedActions`, item
+        input the kept items.
+        """
         if self.reject_threshold is not None:
-            filtered: Tuple[Item, ...] = tuple(
-                item
-                for item in candidates
-                if self.store.preference(item.item_id)
+            items = None
+            cand_idx = candidates
+            if not isinstance(candidates, np.ndarray):
+                candidates = items = tuple(candidates)
+                cand_idx = self.base._catalog_indices(builder.catalog, items)
+            accepted = (
+                self.preferences(builder.catalog)[cand_idx]
                 > self.reject_threshold
             )
-            if filtered:
-                candidates = filtered
+            if accepted.any():
+                candidates = (
+                    cand_idx[accepted]
+                    if items is None
+                    else tuple(itertools.compress(items, accepted.tolist()))
+                )
         return self.base.mask_actions(builder, candidates)

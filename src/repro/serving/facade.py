@@ -33,8 +33,11 @@ import dataclasses
 import logging
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..baselines.eda import EDAPlanner
 from ..core.catalog import Catalog, SubsetFinding
@@ -50,6 +53,7 @@ from ..core.exceptions import (
 )
 from ..core.plan import Plan
 from ..core.planner import RLPlanner
+from ..core.policy import live_mask
 from ..core.scoring import PlanScore
 from ..obs import get_registry, labelled
 from .admission import AdmissionReport, audit_catalog, screen_request
@@ -383,6 +387,11 @@ class PlanningService:
         self._catalog_view: Optional[CatalogView] = None
         self._policy_catalog: Catalog = self.catalog
         self._pending_policy_key: Optional[str] = None
+        # (policy catalog, weak ref to the live catalog, live mask) of
+        # _sarsa_allowed; the weak ref keeps no superseded catalog alive.
+        self._allowed_cache: Optional[
+            Tuple[Catalog, "weakref.ref[Catalog]", Optional[np.ndarray]]
+        ] = None
         # Durability (attach_journal): deltas are journaled+fsync'd
         # before they fold, and _journal_seq is the dedupe watermark —
         # a retried seq at/below it acks as a no-op after its payload
@@ -1067,7 +1076,10 @@ class PlanningService:
         openers are swept best-first until the deadline fires.
         """
         entry = self._resolve_policy(ctx)
-        allowed = self._sarsa_allowed()
+        # One planner for the mask and the traversal: a concurrent refit
+        # adoption swaps self.planner, and the mask indexes its catalog.
+        planner = self.planner
+        allowed = self._sarsa_allowed(planner)
         if entry is not None and allowed is None:
             # The plan memo is only trustworthy when the policy's
             # catalog IS the live universe — a memoized plan may hold
@@ -1078,8 +1090,7 @@ class PlanningService:
                 ctx.plan_cache_hit = True
                 return hit
         if entry is None and (
-            not self.planner.is_fitted
-            or self.planner.qtable.update_count == 0
+            not planner.is_fitted or planner.qtable.update_count == 0
         ):
             # Satellite guard: an unfitted (or zero-update) table would
             # "succeed" with an untrained greedy traversal — garbage
@@ -1096,7 +1107,7 @@ class PlanningService:
             if request.start_item_id is not None
             else None
         )
-        plan, score, _ = self.planner.recommend_anytime(
+        plan, score, _ = planner.recommend_anytime(
             start_item_ids=starts,
             horizon=request.horizon,
             should_stop=deadline.should_stop,
@@ -1119,23 +1130,34 @@ class PlanningService:
             )
         return plan, score
 
-    def _sarsa_allowed(self):
+    def _sarsa_allowed(self, planner: RLPlanner) -> Optional[np.ndarray]:
         """Availability filter for the policy rung, or ``None``.
 
         ``None`` when the adopted policy already indexes the live
         universe (no churn, or the post-churn refit has been adopted);
-        otherwise the frozen live id set, so a stale policy keeps
-        serving without ever offering a closed item.
+        otherwise the live items as a boolean mask over ``planner``'s
+        policy catalog, so a stale policy keeps serving without ever
+        offering a closed item.  Cached per (policy catalog, live
+        catalog): every catalog version materializes a new live catalog,
+        so the mask is built once per version, not per request.
         """
         view = self._catalog_view
         if view is None:
             return None
         live = view.live
-        if self.planner.catalog is live:
-            return None
-        if set(self.planner.catalog.item_ids) == set(live.item_ids):
-            return None
-        return frozenset(live.item_ids)
+        catalog = (
+            planner.qtable.catalog if planner.is_fitted else planner.catalog
+        )
+        cached = self._allowed_cache
+        if cached is not None and cached[0] is catalog and cached[1]() is live:
+            return cached[2]
+        mask = None
+        if catalog is not live and set(catalog.item_ids) != set(
+            live.item_ids
+        ):
+            mask = live_mask(catalog, live.item_ids)
+        self._allowed_cache = (catalog, weakref.ref(live), mask)
+        return mask
 
     def _resolve_policy(self, ctx: _ServeContext) -> Optional[CacheEntry]:
         """Resolve the policy rung's table through the registry.

@@ -4,10 +4,11 @@
 partial plan and candidate set it must produce, to the last bit, the
 same numbers as calling the scalar ``__call__`` per item, and the
 batched ``mask_actions`` must return the same tuple as the scalar
-tiering.  These tests sweep randomized synthetic instances (all three
-similarity modes), the trip datasets (haversine distance budgets) and
-Univ-2 (per-category credit minima), plus the feedback-adjusted
-wrapper and the off-catalog fallback path.
+tiering (the reference cascades live in ``traversal_oracle``).  These
+tests sweep randomized synthetic instances (all three similarity
+modes), the trip datasets (haversine distance budgets) and Univ-2
+(per-category credit minima), plus the feedback-adjusted wrapper and
+the off-catalog fallback path.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from repro.feedback.adapter import FeedbackAdjustedReward
 from repro.feedback.models import Feedback
 from repro.feedback.store import FeedbackStore
 
+import traversal_oracle
+
 
 def _assert_step_equality(reward, builder, candidates) -> None:
     """Batch == scalar for rewards, gates and the masked action set."""
@@ -33,8 +36,12 @@ def _assert_step_equality(reward, builder, candidates) -> None:
     np.testing.assert_array_equal(batch, scalar)
     if isinstance(reward, RewardFunction):
         masked = reward.mask_actions(builder, candidates)
-        scalar_masked = reward._mask_actions_scalar(builder, candidates)
-        assert masked == scalar_masked
+        assert masked == traversal_oracle.mask_actions_scalar(
+            reward, builder, candidates
+        )
+        assert masked == traversal_oracle.mask_actions(
+            reward, builder, candidates
+        )
 
 
 def _greedy_sweep(catalog, task, reward, steps: int = 6) -> None:

@@ -385,3 +385,29 @@ class TestWireDeltas:
                 assert worse["outcome"] == "error"
         finally:
             server.close()
+
+
+class TestLiveMaskCache:
+    """A stale policy reads the churned universe through a live mask the
+    facade builds once per catalog version."""
+
+    def test_mask_built_once_per_catalog_version(self, service, catalog):
+        assert service._sarsa_allowed(service.planner) is None  # no churn yet
+        service.apply_delta(CatalogDelta(kind=DELTA_CLOSE, item_id="s4"))
+        first = service._sarsa_allowed(service.planner)
+        assert first is service._sarsa_allowed(service.planner)  # cached
+        assert first.tolist() == [i != "s4" for i in catalog.item_ids]
+        result = service.serve(start_item_id="p1")
+        assert result.plan is not None
+        assert "s4" not in result.plan.item_ids
+
+        service.apply_delta(CatalogDelta(kind=DELTA_CLOSE, item_id="s5"))
+        second = service._sarsa_allowed(service.planner)
+        assert second is not first
+        assert second.tolist() == [
+            i not in ("s4", "s5") for i in catalog.item_ids
+        ]
+        service.apply_delta(CatalogDelta(kind=DELTA_REOPEN, item_id="s4"))
+        service.apply_delta(CatalogDelta(kind=DELTA_REOPEN, item_id="s5"))
+        # Back to the policy's own universe: no filter at all.
+        assert service._sarsa_allowed(service.planner) is None
