@@ -63,66 +63,55 @@ class SubsetFinding:
     item_ids: Tuple[str, ...] = ()
 
 
-def _prune_excluded_prerequisites(
-    items: Sequence[Item],
-    known_ids: FrozenSet[str],
-) -> Tuple[Tuple[Item, ...], Tuple[SubsetFinding, ...]]:
-    """Drop prerequisite references to *known-but-excluded* items.
+class _PrerequisiteCNF:
+    """A catalog's prerequisite CNF, flattened over item indices.
 
-    References to ids that were never in ``known_ids`` (out-of-program
-    prerequisites tolerated by the legacy ``subset`` contract) are kept
-    untouched.  If pruning empties an OR-group, that item becomes
-    unsatisfiable in the subset and is dropped entirely ("orphaned");
-    orphan drops cascade until a fixpoint.
+    One entry per (OR-group, member the catalog holds).  A group that
+    also names an id the catalog never held stays satisfiable whatever
+    is excluded — the out-of-program prerequisite contract of
+    :meth:`Catalog.subset` — so it never enters the cascade.
     """
-    pool: Dict[str, Item] = {item.item_id: item for item in items}
-    findings: List[SubsetFinding] = []
-    changed = True
-    while changed:
-        changed = False
-        for item in list(pool.values()):
-            groups = item.prerequisites.groups
-            if not groups:
-                continue
-            new_groups: List[FrozenSet[str]] = []
-            slimmed = False
-            dead = False
-            for group in groups:
-                kept = frozenset(
-                    ref
-                    for ref in group
-                    if ref in pool or ref not in known_ids
-                )
-                if kept != group:
-                    slimmed = True
-                if not kept:
-                    dead = True
-                    break
-                new_groups.append(kept)
-            if dead:
-                findings.append(
-                    SubsetFinding(
-                        SUBSET_ORPHANED_ITEM,
-                        f"item {item.item_id!r} lost every alternative in a "
-                        f"prerequisite group; dropped from the subset",
-                        (item.item_id,),
-                    )
-                )
-                del pool[item.item_id]
-                changed = True
-            elif slimmed:
-                findings.append(
-                    SubsetFinding(
-                        SUBSET_PRUNED_PREREQ,
-                        f"item {item.item_id!r}: pruned prerequisite "
-                        f"references to excluded items",
-                        (item.item_id,),
-                    )
-                )
-                pool[item.item_id] = dataclasses.replace(
-                    item, prerequisites=Prerequisites(tuple(new_groups))
-                )
-    return tuple(pool.values()), tuple(findings)
+
+    def __init__(self, catalog: "Catalog") -> None:
+        index = catalog.index_map
+        owners: List[int] = []
+        foreign: List[bool] = []
+        member_items: List[int] = []
+        member_groups: List[int] = []
+        for idx, item in enumerate(catalog.items):
+            for group in item.prerequisites.groups:
+                known = [index[ref] for ref in group if ref in index]
+                foreign.append(len(known) < len(group))
+                member_items.extend(known)
+                member_groups.extend([len(owners)] * len(known))
+                owners.append(idx)
+        self.group_owner = np.asarray(owners, dtype=np.int64)
+        self.member_item = np.asarray(member_items, dtype=np.int64)
+        self.member_group = np.asarray(member_groups, dtype=np.int64)
+        self.closable = ~np.asarray(foreign, dtype=bool)
+
+    def cascade(self, wanted: np.ndarray) -> np.ndarray:
+        """The wanted items that stay placeable: the largest subset whose
+        every item keeps a kept (or foreign) member in each OR-group."""
+        kept = wanted.copy()
+        groups = self.group_owner.size
+        while True:
+            support = np.bincount(
+                self.member_group[kept[self.member_item]], minlength=groups
+            )
+            dead = self.group_owner[(support == 0) & self.closable]
+            dead = dead[kept[dead]]
+            if dead.size == 0:
+                return kept
+            kept[dead] = False
+
+    def lost_alternative(self, kept: np.ndarray) -> np.ndarray:
+        """Items with a prerequisite alternative the catalog holds but
+        ``kept`` excludes."""
+        lost = np.zeros(kept.size, dtype=bool)
+        excluded = ~kept[self.member_item]
+        lost[self.group_owner[self.member_group[excluded]]] = True
+        return lost
 
 
 class CatalogColumns:
@@ -258,6 +247,7 @@ class Catalog:
             item.item_id: i for i, item in enumerate(self._items)
         }
         self._columns: Optional[CatalogColumns] = None
+        self._cnf: Optional[_PrerequisiteCNF] = None
 
     # ------------------------------------------------------------------
     # Basic container protocol
@@ -437,13 +427,18 @@ class Catalog:
         missing = wanted - set(self._by_id)
         if missing:
             raise UnknownItemError(sorted(missing)[0])
-        items: Sequence[Item] = [
-            i for i in self._items if i.item_id in wanted
-        ]
         findings: Tuple[SubsetFinding, ...] = ()
-        if on_dangling != "keep":
-            items, findings = _prune_excluded_prerequisites(
-                items, frozenset(self._by_id)
+        if on_dangling == "keep":
+            items: Sequence[Item] = [
+                i for i in self._items if i.item_id in wanted
+            ]
+        else:
+            kept, pruned, findings = self.prune_subset(
+                np.fromiter(
+                    (i.item_id in wanted for i in self._items),
+                    dtype=bool,
+                    count=len(self._items),
+                )
             )
             if findings and on_dangling == "reject":
                 raise DanglingPrerequisiteError(
@@ -452,12 +447,78 @@ class Catalog:
                     + "; ".join(f.message for f in findings),
                     findings,
                 )
+            items = self.pruned_items(kept, pruned)
         catalog = Catalog(
             items,
             name=name or f"{self.name} (subset)",
             validate_prerequisites=False,
         )
         return catalog, findings
+
+    def prune_subset(
+        self, wanted: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, Tuple[SubsetFinding, ...]]:
+        """Restrict to the ``wanted`` mask, cascading dangling edges.
+
+        Returns ``(kept, pruned, findings)``: the wanted items that keep
+        a kept (or foreign) member in every OR-group, the kept items
+        that lost an alternative this catalog holds, and the findings —
+        one ``orphaned_item`` per wanted item the cascade dropped and one
+        ``pruned_prereq`` per pruned item, in catalog order.
+        """
+        cnf = self._cnf
+        if cnf is None:  # built once per catalog, on first use
+            cnf = self._cnf = _PrerequisiteCNF(self)
+        kept = cnf.cascade(wanted)
+        pruned = cnf.lost_alternative(kept) & kept
+        orphaned = wanted & ~kept
+        findings = []
+        for idx in np.flatnonzero(orphaned | pruned).tolist():
+            item_id = self._items[idx].item_id
+            if orphaned[idx]:
+                findings.append(
+                    SubsetFinding(
+                        SUBSET_ORPHANED_ITEM,
+                        f"item {item_id!r} lost every alternative in a "
+                        f"prerequisite group; dropped from the subset",
+                        (item_id,),
+                    )
+                )
+            else:
+                findings.append(
+                    SubsetFinding(
+                        SUBSET_PRUNED_PREREQ,
+                        f"item {item_id!r}: pruned prerequisite "
+                        f"references to excluded items",
+                        (item_id,),
+                    )
+                )
+        return kept, pruned, tuple(findings)
+
+    def pruned_items(
+        self, kept: np.ndarray, pruned: np.ndarray
+    ) -> List[Item]:
+        """The ``kept`` items in catalog order, with references to held
+        but excluded items dropped from each group of the ``pruned``
+        ones (see :meth:`prune_subset`)."""
+        index = self._index
+        out = []
+        for idx in np.flatnonzero(kept).tolist():
+            item = self._items[idx]
+            if pruned[idx]:
+                groups = tuple(
+                    frozenset(
+                        ref
+                        for ref in group
+                        if ref not in index or kept[index[ref]]
+                    )
+                    for group in item.prerequisites.groups
+                )
+                item = dataclasses.replace(
+                    item, prerequisites=Prerequisites(groups)
+                )
+            out.append(item)
+        return out
 
     def shared_item_ids(self, other: "Catalog") -> Tuple[str, ...]:
         """Ids present in both catalogs (used by transfer learning)."""

@@ -5,8 +5,12 @@ mid-plan (full course sections, shuttered POIs) and tightens constraints
 after the first ``k`` slots are committed.  This module defines the
 event vocabulary for that churn and a :class:`CatalogView` that folds a
 stream of events over an immutable base :class:`~repro.core.catalog.Catalog`
-into a *live* catalog, re-materialized per event so a later ``reopen``
-restores exactly the prerequisite edges a ``close`` pruned.
+into availability masks over the base's item indices.  A fold touches
+only the changed item plus one vectorized orphan-cascade pass over the
+base's flattened prerequisite CNF; the *live* catalog is materialized
+lazily, at most once per version, for the readers that need ``Item``
+objects, so a later ``reopen`` restores exactly the prerequisite edges a
+``close`` pruned.
 
 Event kinds
 -----------
@@ -31,10 +35,13 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+import types
+from typing import Callable, Dict, FrozenSet, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 from .catalog import Catalog, SubsetFinding
-from .exceptions import DataModelError, DeltaError
+from .exceptions import DeltaError
 from .items import Item
 
 #: Catalog-delta kinds.
@@ -151,55 +158,282 @@ def delta_from_payload(payload: object) -> Delta:
     return CatalogDelta(kind=kind, item_id=item, credits=credits, seq=seq_raw)
 
 
+
+#: What ``Catalog`` says when asked to hold no items; quoted when a fold
+#: would prune the live catalog empty.
+_EMPTY_CATALOG = "catalog must contain at least one item"
+
+
+def _frozen(mask: np.ndarray) -> np.ndarray:
+    mask.flags.writeable = False
+    return mask
+
+
+class LiveState:
+    """One immutable version of a :class:`CatalogView`'s fold state.
+
+    Everything is indexed by the base catalog's item indices, so a fold
+    costs the changed item plus one vectorized cascade, not a catalog
+    rebuild.  Per-version derived values (the materialized catalog,
+    masks over other catalogs, admission figures) are computed on first
+    use and cached here, so they live exactly as long as the version.
+
+    Attributes
+    ----------
+    base:
+        The immutable base catalog.
+    version:
+        Number of deltas folded so far.
+    closed_mask:
+        True where an item is closed (read-only).
+    live_mask:
+        True where an item is open and not orphaned by the prerequisite
+        cascade (read-only): the items a fresh plan may place.
+    pruned_mask:
+        True where a live item lost a known prerequisite alternative.
+    overrides:
+        Read-only credit-override map (item id -> credits).
+    findings:
+        One ``orphaned_item`` finding per open item the cascade dropped
+        and one ``pruned_prereq`` finding per live item that lost a known
+        alternative, in base order.
+    """
+
+    __slots__ = (
+        "base",
+        "version",
+        "closed_mask",
+        "live_mask",
+        "pruned_mask",
+        "overrides",
+        "findings",
+        "live_count",
+        "_memo",
+        "_lock",
+    )
+
+    def __init__(
+        self,
+        base: Catalog,
+        version: int,
+        closed_mask: np.ndarray,
+        live_mask: np.ndarray,
+        pruned_mask: np.ndarray,
+        overrides: Dict[str, float],
+        findings: Tuple[SubsetFinding, ...],
+    ) -> None:
+        self.base = base
+        self.version = version
+        self.closed_mask = _frozen(closed_mask)
+        self.live_mask = _frozen(live_mask)
+        self.pruned_mask = _frozen(pruned_mask)
+        self.overrides: Mapping[str, float] = types.MappingProxyType(
+            overrides
+        )
+        self.findings = findings
+        self.live_count = int(np.count_nonzero(live_mask))
+        self._memo: Dict[object, object] = {}
+        self._lock = threading.RLock()
+
+    @classmethod
+    def pristine(cls, base: Catalog) -> "LiveState":
+        """Version 0 with nothing closed: the base catalog itself."""
+        n = len(base)
+        return cls(
+            base, 0, np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+            np.zeros(n, dtype=bool), {}, (),
+        )
+
+    @property
+    def is_pristine(self) -> bool:
+        return (
+            self.version == 0
+            and not self.overrides
+            and not self.closed_mask.any()
+        )
+
+    @property
+    def name(self) -> str:
+        """The live catalog's name, without materializing it."""
+        if self.is_pristine:
+            return self.base.name
+        return f"{self.base.name}@v{self.version}"
+
+    @property
+    def closed_ids(self) -> FrozenSet[str]:
+        items = self.base.items
+        return frozenset(
+            items[idx].item_id
+            for idx in np.flatnonzero(self.closed_mask).tolist()
+        )
+
+    def is_live(self, item_id: str) -> bool:
+        """May a fresh plan place ``item_id`` in this version?"""
+        idx = self.base.index_map.get(item_id)
+        return idx is not None and bool(self.live_mask[idx])
+
+    def is_closed(self, item_id: str) -> bool:
+        idx = self.base.index_map.get(item_id)
+        return idx is not None and bool(self.closed_mask[idx])
+
+    def resolve(self, item: Item) -> Item:
+        """``item`` with its credit override, if any, applied."""
+        override = self.overrides.get(item.item_id)
+        if override is None or override == item.credits:
+            return item
+        return dataclasses.replace(item, credits=override)
+
+    def memo(self, key: object, build: Callable[[], object]) -> object:
+        """``build()``, computed once per version under ``key``."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        with self._lock:
+            if key not in self._memo:
+                self._memo[key] = build()
+            return self._memo[key]
+
+    @property
+    def catalog(self) -> Catalog:
+        """The materialized live catalog (built once, on first use)."""
+        return self.memo("catalog", lambda: _materialize(self))
+
+    def credits(self) -> np.ndarray:
+        """Credits over base indices with the overrides applied."""
+
+        def build() -> np.ndarray:
+            credits = self.base.columns.credits
+            if self.overrides:
+                credits = credits.copy()
+                index = self.base.index_map
+                for item_id, value in self.overrides.items():
+                    credits[index[item_id]] = value
+            return credits
+
+        return self.memo("credits", build)
+
+    def mask_over(self, catalog: Catalog) -> Optional[np.ndarray]:
+        """The live items as a read-only mask over ``catalog``.
+
+        ``None`` when ``catalog`` holds exactly the live items (nothing to
+        filter).  Ids the base does not know count as not live.  Built
+        once per (version, catalog).
+        """
+        if catalog is self.base:
+            if self.live_count == len(catalog):
+                return None
+            return self.live_mask
+
+        def build() -> Tuple[Catalog, Optional[np.ndarray]]:
+            index = self.base.index_map
+            mask = np.fromiter(
+                (
+                    item_id in index and bool(self.live_mask[index[item_id]])
+                    for item_id in catalog.item_ids
+                ),
+                dtype=bool,
+                count=len(catalog),
+            )
+            if mask.all() and len(catalog) == self.live_count:
+                return catalog, None
+            return catalog, _frozen(mask)
+
+        # The memo keeps ``catalog`` alive, so its id stays unique for
+        # as long as the entry does.
+        return self.memo(("mask", id(catalog)), build)[1]
+
+
+def _fold(
+    base: Catalog,
+    version: int,
+    closed_mask: np.ndarray,
+    overrides: Dict[str, float],
+) -> Optional[LiveState]:
+    """The state for a closed set and overrides; ``None`` when the
+    prerequisite cascade leaves no live item."""
+    live, pruned, findings = base.prune_subset(~closed_mask)
+    if not live.any():
+        return None
+    return LiveState(
+        base, version, closed_mask, live, pruned, overrides, findings
+    )
+
+
+def _materialize(state: LiveState) -> Catalog:
+    """The live catalog of ``state``: live items in base order with
+    references to known-but-dead items pruned and credit overrides
+    applied."""
+    if state.is_pristine:
+        return state.base
+    return Catalog(
+        [
+            state.resolve(item)
+            for item in state.base.pruned_items(
+                state.live_mask, state.pruned_mask
+            )
+        ],
+        name=state.name,
+        validate_prerequisites=False,
+    )
+
+
 class CatalogView:
-    """A mutable live view over an immutable base catalog.
+    """A live view over an immutable base catalog.
 
-    Folds :class:`CatalogDelta` events into a closed-item set plus a
-    credit-override map and re-materializes the live catalog from the
-    base each time, so closures prune prerequisite edges (through
-    ``Catalog.subset(on_dangling="prune")``) and reopens restore them.
-    Items whose every OR-group alternative is closed are dropped from
-    the live catalog (they cannot be legally placed in a fresh plan);
-    prerequisite references the *base* catalog never resolved remain
-    tolerated, preserving the out-of-program-prereq contract.
+    Folds :class:`CatalogDelta` events into a :class:`LiveState`: a
+    closed mask and a credit-override map over the base, plus the live
+    mask the orphan cascade derives from them.  Items whose every
+    alternative in some OR-group is closed (or itself orphaned) are not
+    live — they cannot be legally placed in a fresh plan; prerequisite
+    references the *base* catalog never resolved remain tolerated,
+    preserving the out-of-program-prereq contract.  A ``reopen``
+    restores exactly what the ``close`` cut.
 
-    Thread-safe: ``apply`` serializes under an internal lock and swaps
-    :attr:`live` atomically; readers never see a half-applied event.
+    Hot readers (admission screens, the policy rung's availability
+    filter, prefix checks) read the masks of :attr:`state`; :attr:`live`
+    materializes the :class:`Catalog` only for the readers that need
+    ``Item`` objects, once per version.
+
+    Thread-safe: ``apply`` and ``restore`` serialize under an internal
+    lock and swap the state atomically; readers never see a
+    half-applied event.
     """
 
     def __init__(self, base: Catalog) -> None:
         self.base = base
-        self._closed: set = set()
-        self._credit_overrides: Dict[str, float] = {}
-        self._version = 0
-        self._live = base
-        self._findings: Tuple[SubsetFinding, ...] = ()
+        self._state = LiveState.pristine(base)
         self._lock = threading.Lock()
 
     @property
+    def state(self) -> LiveState:
+        """The current immutable fold state."""
+        return self._state
+
+    @property
     def live(self) -> Catalog:
-        """The current materialized catalog (base until the first delta)."""
-        return self._live
+        """The current live catalog (the base until the first delta),
+        materialized on first access per version."""
+        return self._state.catalog
 
     @property
     def version(self) -> int:
         """Number of deltas applied so far."""
-        return self._version
+        return self._state.version
 
     @property
     def closed_ids(self) -> FrozenSet[str]:
-        return frozenset(self._closed)
+        return self._state.closed_ids
 
     @property
     def credit_overrides(self) -> Dict[str, float]:
         """Copy of the live credit-override map (item_id → credits)."""
-        with self._lock:
-            return dict(self._credit_overrides)
+        return dict(self._state.overrides)
 
     @property
     def last_findings(self) -> Tuple[SubsetFinding, ...]:
-        """Integrity findings from the most recent materialization."""
-        return self._findings
+        """Integrity findings of the current state."""
+        return self._state.findings
 
     def state_payload(self) -> Dict[str, object]:
         """Canonical JSON-ready snapshot of the fold state.
@@ -209,32 +443,28 @@ class CatalogView:
         Sorted/plain types only, so two views holding the same state
         serialize byte-identically.
         """
-        with self._lock:
-            return {
-                "closed": sorted(self._closed),
-                "credit_overrides": {
-                    item_id: self._credit_overrides[item_id]
-                    for item_id in sorted(self._credit_overrides)
-                },
-                "version": self._version,
-            }
+        state = self._state
+        overrides = state.overrides
+        return {
+            "closed": sorted(state.closed_ids),
+            "credit_overrides": {
+                item_id: overrides[item_id] for item_id in sorted(overrides)
+            },
+            "version": state.version,
+        }
 
     def fork(self) -> "CatalogView":
         """An independent view over the same *base* seeded with the
-        current closed-set/credit state.
+        current state.
 
         A session-scoped fork can keep folding deltas without mutating
         the view it was forked from, and — because it shares the
         pristine base — it resolves a later ``reopen`` of an item the
-        parent view has already pruned from :attr:`live`.
+        parent view no longer holds live.  The two share the immutable
+        state (and its cached live catalog) until either folds a delta.
         """
         clone = CatalogView(self.base)
-        with self._lock:
-            clone._closed = set(self._closed)
-            clone._credit_overrides = dict(self._credit_overrides)
-            clone._version = self._version
-            clone._live = self._live
-            clone._findings = self._findings
+        clone._state = self._state
         return clone
 
     def resolve(self, item: Item) -> Item:
@@ -243,84 +473,60 @@ class CatalogView:
         Works for closed items too — used to re-cost a committed plan
         prefix whose items may no longer exist in the live catalog.
         """
-        override = self._credit_overrides.get(item.item_id)
-        if override is None or override == item.credits:
-            return item
-        return dataclasses.replace(item, credits=override)
+        return self._state.resolve(item)
 
     def apply(self, delta: CatalogDelta) -> Tuple[SubsetFinding, ...]:
-        """Fold one delta into the view; returns the new findings."""
+        """Fold one delta into the view; returns the new findings.
+
+        A delta that would close the last open item, or leave nothing
+        live after the prerequisite cascade, raises :class:`DeltaError`
+        and leaves the state untouched — deterministically, so journal
+        replay skips it instead of crash-looping.
+        """
         if not isinstance(delta, CatalogDelta):
             raise DeltaError(
                 f"CatalogView can only apply CatalogDelta events, "
                 f"got {type(delta).__name__}"
             )
-        if delta.item_id not in self.base:
+        idx = self.base.index_map.get(delta.item_id)
+        if idx is None:
             raise DeltaError(
                 f"delta {delta.kind!r} references item {delta.item_id!r} "
                 f"unknown to base catalog {self.base.name!r}"
             )
         with self._lock:
-            prev_closed = set(self._closed)
-            prev_overrides = dict(self._credit_overrides)
-            prev_version = self._version
-            if delta.kind == DELTA_CLOSE:
-                self._closed.add(delta.item_id)
-            elif delta.kind == DELTA_REOPEN:
-                self._closed.discard(delta.item_id)
-            else:  # credit_change
+            state = self._state
+            if delta.kind == DELTA_CREDIT_CHANGE:
+                # Availability is untouched: only the overrides move.
                 assert delta.credits is not None
-                self._credit_overrides[delta.item_id] = delta.credits
-            open_ids = [
-                item_id
-                for item_id in self.base.item_ids
-                if item_id not in self._closed
-            ]
-            if not open_ids:
-                # Roll back: a catalog must keep at least one item.
-                self._closed.discard(delta.item_id)
+                self._state = LiveState(
+                    self.base,
+                    state.version + 1,
+                    state.closed_mask,
+                    state.live_mask,
+                    state.pruned_mask,
+                    {**state.overrides, delta.item_id: delta.credits},
+                    state.findings,
+                )
+                return state.findings
+            closed = state.closed_mask.copy()
+            closed[idx] = delta.kind == DELTA_CLOSE
+            if closed.all():
                 raise DeltaError(
                     f"delta {delta.kind!r} on {delta.item_id!r} would "
                     f"close the last open item"
                 )
-            self._version += 1
-            try:
-                return self._materialize_locked(open_ids)
-            except DataModelError as exc:
-                # Pruning dangling prerequisites can empty the live
-                # catalog even with open items left.  Roll the fold
-                # back and reject as a DeltaError, so the refusal is
-                # deterministic and journal replay skips it instead of
-                # crash-looping on an unexpected exception type.
-                # _live/_findings are untouched (assigned only on
-                # success), so restoring the fold state suffices.
-                self._closed = prev_closed
-                self._credit_overrides = prev_overrides
-                self._version = prev_version
+            new = _fold(
+                self.base, state.version + 1, closed, dict(state.overrides)
+            )
+            if new is None:
                 raise DeltaError(
                     f"delta {delta.kind!r} on {delta.item_id!r} would "
                     f"leave the live catalog empty after prerequisite "
-                    f"pruning: {exc}"
-                ) from exc
-
-    def _materialize_locked(self, open_ids) -> Tuple[SubsetFinding, ...]:
-        """Rebuild :attr:`live` from the base + fold state (lock held)."""
-        source = self.base
-        if self._credit_overrides:
-            source = Catalog(
-                tuple(self.resolve(item) for item in self.base.items),
-                name=self.base.name,
-                topic_vocabulary=self.base.topic_vocabulary,
-                validate_prerequisites=False,
-            )
-        live, findings = source.subset_with_findings(
-            open_ids,
-            name=f"{self.base.name}@v{self._version}",
-            on_dangling="prune",
-        )
-        self._live = live
-        self._findings = findings
-        return findings
+                    f"pruning: {_EMPTY_CATALOG}"
+                )
+            self._state = new
+            return new.findings
 
     def restore(
         self,
@@ -328,20 +534,20 @@ class CatalogView:
         credit_overrides: Dict[str, float],
         version: int,
     ) -> Tuple[SubsetFinding, ...]:
-        """Seed the view with recovered fold state, materializing once.
+        """Install recovered fold state without materializing anything.
 
         The journal-replay path: instead of re-folding every delta since
         the beginning of time, a snapshot's ``(closed, overrides,
-        version)`` triple is installed directly and the live catalog is
-        rebuilt in a single materialization — byte-identical to the view
-        that wrote the snapshot, because materialization is a pure
+        version)`` triple is installed directly — the same state as the
+        view that wrote the snapshot, because the fold is a pure
         function of that triple over the immutable base.
         """
         closed = set(closed_ids)
         overrides = dict(credit_overrides)
         if version < 0:
             raise DeltaError(f"snapshot version must be >= 0, got {version}")
-        unknown = (closed | set(overrides)) - set(self.base.item_ids)
+        index = self.base.index_map
+        unknown = (closed | set(overrides)) - set(index)
         if unknown:
             raise DeltaError(
                 f"snapshot references item(s) unknown to base catalog "
@@ -353,30 +559,21 @@ class CatalogView:
                     f"snapshot credit override for {item_id!r} must be a "
                     f"positive number, got {credits!r}"
                 )
+        closed_mask = np.zeros(len(self.base), dtype=bool)
+        closed_mask[[index[item_id] for item_id in closed]] = True
+        if closed_mask.all():
+            raise DeltaError("snapshot closes every item in the base catalog")
+        state = _fold(
+            self.base,
+            version,
+            closed_mask,
+            {item_id: float(credits) for item_id, credits in overrides.items()},
+        )
+        if state is None:
+            raise DeltaError(
+                f"snapshot state leaves the live catalog empty after "
+                f"prerequisite pruning: {_EMPTY_CATALOG}"
+            )
         with self._lock:
-            open_ids = [
-                item_id
-                for item_id in self.base.item_ids
-                if item_id not in closed
-            ]
-            if not open_ids:
-                raise DeltaError(
-                    "snapshot closes every item in the base catalog"
-                )
-            self._closed = closed
-            self._credit_overrides = {
-                item_id: float(credits)
-                for item_id, credits in overrides.items()
-            }
-            self._version = version
-            if version == 0 and not closed and not overrides:
-                self._live = self.base
-                self._findings = ()
-                return ()
-            try:
-                return self._materialize_locked(open_ids)
-            except DataModelError as exc:
-                raise DeltaError(
-                    f"snapshot state leaves the live catalog empty "
-                    f"after prerequisite pruning: {exc}"
-                ) from exc
+            self._state = state
+        return state.findings

@@ -45,11 +45,15 @@ Two dispositions:
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from ..core.catalog import Catalog
 from ..core.constraints import TaskSpec
+from ..core.deltas import CatalogView, LiveState
 from ..core.env import DomainMode
 from ..core.exceptions import DataModelError, InfeasibleError
 from ..core.items import Item
@@ -324,6 +328,78 @@ def _next_stuck(
     return None
 
 
+class _PoolFacts:
+    """The catalog-level figures the feasibility screens read.
+
+    ``credits_desc`` holds the admissible items' non-NaN credits sorted
+    descending, so the attainable total sums the same values in the same
+    order however the pool was built.
+    """
+
+    __slots__ = ("admissible", "primaries", "credits_desc")
+
+    def __init__(
+        self, admissible: int, primaries: int, credits_desc: List[float]
+    ) -> None:
+        self.admissible = admissible
+        self.primaries = primaries
+        self.credits_desc = credits_desc
+
+    @classmethod
+    def of_items(cls, alive: Sequence[Item]) -> "_PoolFacts":
+        return cls(
+            len(alive),
+            sum(1 for i in alive if i.is_primary),
+            sorted(
+                (i.credits for i in alive if not math.isnan(i.credits)),
+                reverse=True,
+            ),
+        )
+
+    @classmethod
+    def of_columns(
+        cls, primary: np.ndarray, credits: np.ndarray, live: np.ndarray
+    ) -> "_PoolFacts":
+        """Facts of the items ``live`` selects from base columns."""
+        pool = credits[live]
+        pool = pool[~np.isnan(pool)]
+        return cls(
+            int(np.count_nonzero(live)),
+            int(np.count_nonzero(primary & live)),
+            np.sort(pool)[::-1].tolist(),
+        )
+
+    def flag(
+        self, task: TaskSpec, mode: DomainMode, audit: _AuditPass
+    ) -> None:
+        """Structural infeasibility screens over the pool."""
+        hard = task.hard
+        if self.admissible < hard.plan_length:
+            audit.flag(
+                "infeasible_length",
+                f"plan needs {hard.plan_length} items but only "
+                f"{self.admissible} are admissible",
+            )
+        if self.primaries < hard.num_primary:
+            audit.flag(
+                "infeasible_primary",
+                f"hard constraints require {hard.num_primary} primary items "
+                f"but the admissible pool has {self.primaries}",
+            )
+        if mode is not DomainMode.TRIP:
+            # Courses: the best attainable total is the plan_length
+            # largest credit values; if even that misses #cr, every
+            # plan fails.
+            attainable = sum(self.credits_desc[: hard.plan_length])
+            if attainable < hard.min_credits - 1e-9:
+                audit.flag(
+                    "infeasible_credits",
+                    f"the {hard.plan_length} largest admissible items total "
+                    f"{attainable:g} credits, below the required "
+                    f"{hard.min_credits:g}",
+                )
+
+
 def _check_feasibility(
     items: Sequence[Item],
     task: TaskSpec,
@@ -332,35 +408,7 @@ def _check_feasibility(
 ) -> None:
     """Structural infeasibility screens over the surviving pool."""
     alive = [i for i in items if i.item_id not in audit.dropped]
-    hard = task.hard
-    if len(alive) < hard.plan_length:
-        audit.flag(
-            "infeasible_length",
-            f"plan needs {hard.plan_length} items but only {len(alive)} "
-            f"are admissible",
-        )
-    primaries = sum(1 for i in alive if i.is_primary)
-    if primaries < hard.num_primary:
-        audit.flag(
-            "infeasible_primary",
-            f"hard constraints require {hard.num_primary} primary items "
-            f"but the admissible pool has {primaries}",
-        )
-    if mode is not DomainMode.TRIP:
-        # Courses: the best attainable total is the plan_length largest
-        # credit values; if even that misses #cr, every plan fails.
-        credits = sorted(
-            (i.credits for i in alive if not math.isnan(i.credits)),
-            reverse=True,
-        )
-        attainable = sum(credits[: hard.plan_length])
-        if attainable < hard.min_credits - 1e-9:
-            audit.flag(
-                "infeasible_credits",
-                f"the {hard.plan_length} largest admissible items total "
-                f"{attainable:g} credits, below the required "
-                f"{hard.min_credits:g}",
-            )
+    _PoolFacts.of_items(alive).flag(task, mode, audit)
 
 
 def audit_items(
@@ -438,8 +486,35 @@ def audit_catalog(
     return report, admitted
 
 
+_CATALOG_FACTS: "weakref.WeakKeyDictionary[Catalog, _PoolFacts]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _catalog_facts(catalog: Catalog) -> _PoolFacts:
+    """Pool facts of a whole catalog, built once per catalog."""
+    facts = _CATALOG_FACTS.get(catalog)
+    if facts is None:
+        cols = catalog.columns
+        facts = _PoolFacts.of_columns(
+            cols.primary_mask, cols.credits, np.ones(len(catalog), dtype=bool)
+        )
+        _CATALOG_FACTS[catalog] = facts
+    return facts
+
+
+def _state_facts(state: LiveState) -> _PoolFacts:
+    """Pool facts of one live-view version, built once per version."""
+    return state.memo(
+        _PoolFacts,
+        lambda: _PoolFacts.of_columns(
+            state.base.columns.primary_mask, state.credits(), state.live_mask
+        ),
+    )
+
+
 def screen_request(
-    catalog: Catalog,
+    catalog: Union[Catalog, CatalogView],
     task: TaskSpec,
     mode: DomainMode,
     start_item_id: Optional[str] = None,
@@ -447,19 +522,30 @@ def screen_request(
     """Fast request-time screens (no cycle DFS — that ran at load time).
 
     Checks the structural feasibility of the task against the catalog
-    and that the requested start item exists.  Cheap enough to run on
-    every request.
+    and that the requested start item exists.  ``catalog`` may be a live
+    :class:`~repro.core.deltas.CatalogView`, screened through its masks
+    without materializing the live catalog.  The catalog-level figures
+    are computed once per catalog version and the start check is a
+    lookup, so this is cheap enough to run on every request.
     """
     audit = _AuditPass()
-    if start_item_id is not None and start_item_id not in catalog:
+    if isinstance(catalog, CatalogView):
+        state = catalog.state
+        facts = _state_facts(state)
+        known = start_item_id is None or state.is_live(start_item_id)
+        name = state.name
+    else:
+        facts = _catalog_facts(catalog)
+        known = start_item_id is None or start_item_id in catalog
+        name = catalog.name
+    if not known:
         audit.flag(
             "unknown_start",
-            f"start item {start_item_id!r} is not in catalog "
-            f"{catalog.name!r}",
+            f"start item {start_item_id!r} is not in catalog {name!r}",
         )
-    _check_feasibility(catalog.items, task, mode, audit)
+    facts.flag(task, mode, audit)
     return AdmissionReport(
         findings=tuple(audit.findings),
         mode="strict",
-        admitted=len(catalog),
+        admitted=facts.admissible,
     )

@@ -33,7 +33,6 @@ import dataclasses
 import logging
 import threading
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -53,7 +52,6 @@ from ..core.exceptions import (
 )
 from ..core.plan import Plan
 from ..core.planner import RLPlanner
-from ..core.policy import live_mask
 from ..core.scoring import PlanScore
 from ..obs import get_registry, labelled
 from .admission import AdmissionReport, audit_catalog, screen_request
@@ -220,7 +218,7 @@ class DeltaReport:
     kind: str
     item_id: str
     catalog_version: int
-    #: Dangling-prereq findings from re-materializing the live catalog.
+    #: Dangling-prereq findings of the folded live state.
     findings: Tuple[SubsetFinding, ...] = ()
     #: True when the delta changed the catalog fingerprint of an
     #: attached registry's policy key (a refit may have been scheduled).
@@ -387,11 +385,6 @@ class PlanningService:
         self._catalog_view: Optional[CatalogView] = None
         self._policy_catalog: Catalog = self.catalog
         self._pending_policy_key: Optional[str] = None
-        # (policy catalog, weak ref to the live catalog, live mask) of
-        # _sarsa_allowed; the weak ref keeps no superseded catalog alive.
-        self._allowed_cache: Optional[
-            Tuple[Catalog, "weakref.ref[Catalog]", Optional[np.ndarray]]
-        ] = None
         # Durability (attach_journal): deltas are journaled+fsync'd
         # before they fold, and _journal_seq is the dedupe watermark —
         # a retried seq at/below it acks as a no-op after its payload
@@ -618,9 +611,18 @@ class PlanningService:
 
     @property
     def live_catalog(self) -> Catalog:
-        """The post-delta catalog (the base until the first delta)."""
+        """The post-delta catalog (the base until the first delta).
+
+        Materialized once per catalog version; the hot paths read the
+        view's masks instead (:attr:`catalog_view`).
+        """
         view = self._catalog_view
         return view.live if view is not None else self.catalog
+
+    @property
+    def catalog_view(self) -> Optional[CatalogView]:
+        """The live view over the base catalog (``None`` before churn)."""
+        return self._catalog_view
 
     @property
     def catalog_version(self) -> int:
@@ -636,12 +638,13 @@ class PlanningService:
     def apply_delta(self, delta: CatalogDelta) -> DeltaReport:
         """Fold one world-level catalog delta into the service.
 
-        The live catalog is re-materialized (closures prune dangling
-        prerequisite edges; reopens restore them), subsequent requests
-        are screened and planned against it, and — when a registry is
-        attached — a changed catalog fingerprint schedules exactly one
-        single-flight background refit for the new policy key while the
-        stale policy keeps serving (restricted to live items).
+        The live view folds it (closures cascade to items whose every
+        prerequisite alternative closed; reopens restore them),
+        subsequent requests are screened and planned against it, and —
+        when a registry is attached — a changed catalog fingerprint
+        schedules exactly one single-flight background refit for the
+        new policy key while the stale policy keeps serving (restricted
+        to live items).
 
         Constraint deltas are session-scoped (they retarget a
         :class:`~repro.serving.replan.ReplanSession`'s task); passing
@@ -906,7 +909,7 @@ class PlanningService:
             # closed, or a universe churn made infeasible, must reject
             # here instead of failing deep inside a rung.
             screen = screen_request(
-                self.live_catalog, self.task, self.mode,
+                self._catalog_view or self.catalog, self.task, self.mode,
                 request.start_item_id,
             )
         if screen.rejected:
@@ -1137,27 +1140,17 @@ class PlanningService:
         universe (no churn, or the post-churn refit has been adopted);
         otherwise the live items as a boolean mask over ``planner``'s
         policy catalog, so a stale policy keeps serving without ever
-        offering a closed item.  Cached per (policy catalog, live
-        catalog): every catalog version materializes a new live catalog,
-        so the mask is built once per version, not per request.
+        offering a closed item.  The view's live mask when the policy
+        catalog is the base; otherwise mapped onto the policy catalog
+        once per catalog version.
         """
         view = self._catalog_view
         if view is None:
             return None
-        live = view.live
         catalog = (
             planner.qtable.catalog if planner.is_fitted else planner.catalog
         )
-        cached = self._allowed_cache
-        if cached is not None and cached[0] is catalog and cached[1]() is live:
-            return cached[2]
-        mask = None
-        if catalog is not live and set(catalog.item_ids) != set(
-            live.item_ids
-        ):
-            mask = live_mask(catalog, live.item_ids)
-        self._allowed_cache = (catalog, weakref.ref(live), mask)
-        return mask
+        return view.state.mask_over(catalog)
 
     def _resolve_policy(self, ctx: _ServeContext) -> Optional[CacheEntry]:
         """Resolve the policy rung's table through the registry.

@@ -55,6 +55,7 @@ from ..core.deltas import (
     CatalogView,
     ConstraintDelta,
     Delta,
+    LiveState,
 )
 from ..core.env import DomainMode
 from ..core.exceptions import PlanningError
@@ -238,6 +239,10 @@ class ReplanSession:
         )
         self._lock = threading.RLock()
         self.last_result: Optional[ReplanResult] = None
+        # Per-(catalog version, task) EDA/repair rungs and per-task
+        # scorer, rebuilt only when the view or the task moves.
+        self._rungs: Dict[str, Tuple[int, TaskSpec, object]] = {}
+        self._scorer: Optional[PlanScorer] = None
 
     # ------------------------------------------------------------------
     # State inspection
@@ -294,9 +299,9 @@ class ReplanSession:
         re-costed prefix alone exceeds the budget.  Recomputed from the
         view, so a ``reopen`` heals a previously invalidated session.
         """
-        closed = self.view.closed_ids
+        state = self.view.state
         prefix = self.committed
-        if any(item.item_id in closed for item in prefix):
+        if any(state.is_closed(item.item_id) for item in prefix):
             return False
         if self.service.mode is DomainMode.TRIP:
             budget = self._state.task.hard.min_credits
@@ -512,8 +517,7 @@ class ReplanSession:
                 deadline, deadline_s, (),
             )
         if not pending:
-            scorer = PlanScorer(state.task, mode=self.service.mode)
-            score = scorer.score(state.plan)
+            score = self._plan_scorer().score(state.plan)
             return self._finish(
                 REPLAN_NOOP, state.plan, score, None, trigger, pending,
                 deadline, deadline_s, (),
@@ -541,12 +545,10 @@ class ReplanSession:
     ) -> Optional[Tuple[Plan, PlanScore, str]]:
         """Run the sarsa→eda→repair ladder over the suffix only."""
         state = self._state
-        service = self.service
+        live = self.view.state
         prefix = self.committed
-        live = self.view.live
         horizon = state.task.hard.plan_length
-        scorer = PlanScorer(state.task, mode=service.mode)
-        allowed = frozenset(live.item_ids)
+        scorer = self._plan_scorer()
         tight = (
             deadline.seconds is not None
             and deadline.remaining() <= self.repair_only_below_s
@@ -559,7 +561,7 @@ class ReplanSession:
         for rung in rungs:
             try:
                 plan = self._run_rung(
-                    rung, prefix, live, horizon, allowed, deadline, scorer
+                    rung, prefix, live, horizon, deadline, scorer
                 )
             except Exception as exc:  # noqa: BLE001 - rung isolation
                 attempts.append(
@@ -586,13 +588,50 @@ class ReplanSession:
                 best = (plan, score, rung)
         return best
 
+    def _plan_scorer(self) -> PlanScorer:
+        """The scorer for the session's current task (rebuilt when a
+        constraint delta retargets it)."""
+        scorer = self._scorer
+        if scorer is None or scorer.task is not self._state.task:
+            scorer = self._scorer = PlanScorer(
+                self._state.task, mode=self.service.mode
+            )
+        return scorer
+
+    def _rung_planner(self, rung: str, live: LiveState):
+        """This session's EDA or repair planner for ``live``'s version and
+        the current task; the only replan code that materializes the
+        live catalog."""
+        task = self._state.task
+        cached = self._rungs.get(rung)
+        if (
+            cached is not None
+            and cached[0] == live.version
+            and cached[1] is task
+        ):
+            return cached[2]
+        service = self.service
+        if rung == RUNG_EDA:
+            planner = EDAPlanner(
+                live.catalog, task, config=service.config,
+                mode=service.mode, seed=service.config.seed,
+            )
+        else:
+            from .repair import RepairPlanner
+
+            planner = RepairPlanner(
+                live.catalog, task, mode=service.mode,
+                max_expansions=service.repair_max_expansions,
+            )
+        self._rungs[rung] = (live.version, task, planner)
+        return planner
+
     def _run_rung(
         self,
         rung: str,
         prefix: Tuple[Item, ...],
-        live: Catalog,
+        live: LiveState,
         horizon: int,
-        allowed,
         deadline: Deadline,
         scorer: PlanScorer,
     ) -> Optional[Plan]:
@@ -601,6 +640,7 @@ class ReplanSession:
             planner = service.planner
             if not planner.is_fitted or planner.qtable.update_count == 0:
                 raise PlanningError("policy rung has no trained Q-table")
+            allowed = live.mask_over(planner.qtable.catalog)
             if prefix:
                 plan, _score, _ = planner.complete_plan(
                     prefix,
@@ -622,28 +662,20 @@ class ReplanSession:
                 max(deadline.remaining(), service.eda_grace_s),
                 clock=service.clock,
             )
-            eda = EDAPlanner(
-                live, self._state.task, config=service.config,
-                mode=service.mode, seed=service.config.seed,
-            )
+            eda = self._rung_planner(RUNG_EDA, live)
             if prefix:
                 plan = eda.complete(
                     prefix, horizon=horizon, should_stop=grace.should_stop
                 )
             else:
                 plan = eda.recommend(
-                    self._live_start(live), horizon=horizon,
+                    self._live_start(live.catalog), horizon=horizon,
                     should_stop=grace.should_stop,
                 )
             if grace.expired and len(plan) < horizon:
                 return None
             return plan
-        from .repair import RepairPlanner
-
-        repair = RepairPlanner(
-            live, self._state.task, mode=service.mode,
-            max_expansions=service.repair_max_expansions,
-        )
+        repair = self._rung_planner(RUNG_REPAIR, live)
         if prefix:
             return repair.recommend(pinned=prefix)
         return repair.recommend()

@@ -219,7 +219,8 @@ class PlanningServer:
         # Fast screen on the caller's thread: a provably-doomed request
         # must not occupy a queue slot or a worker.
         screen = screen_request(
-            self.service.live_catalog,
+            getattr(self.service, "catalog_view", None)
+            or self.service.live_catalog,
             self.service.task,
             self.service.mode,
             request.start_item_id,
@@ -381,8 +382,8 @@ class PlanningServer:
     def apply_delta(self, delta: Delta) -> Optional[DeltaReport]:
         """Fold one world delta in and broadcast it to open sessions.
 
-        Catalog deltas go through the service (re-materializing the
-        live catalog and invalidating the policy fingerprint) *and* to
+        Catalog deltas go through the service (folding them into the
+        live view and invalidating the policy fingerprint) *and* to
         every non-drained session; constraint deltas are session-scoped
         and only broadcast.  Returns the service's
         :class:`~repro.serving.facade.DeltaReport` for catalog deltas,

@@ -35,8 +35,10 @@ from repro.core.exceptions import DeltaError
 from repro.serving import (
     REPLAN_DRAINING,
     REPLAN_SHED,
+    DeltaJournal,
     PlanningServer,
     PlanningService,
+    ServeRequest,
     closed_loop,
 )
 from repro.serving.loadgen import SERVED_OUTCOMES
@@ -411,3 +413,75 @@ class TestLiveMaskCache:
         service.apply_delta(CatalogDelta(kind=DELTA_REOPEN, item_id="s5"))
         # Back to the policy's own universe: no filter at all.
         assert service._sarsa_allowed(service.planner) is None
+
+
+class TestNoMaterialization:
+    """The hot paths read the view's masks: serving, delta acks, session
+    ingests, sarsa replans and journal recovery never build the live
+    catalog; the first cold read builds it once for its version."""
+
+    def test_churn_never_materializes_live_catalog(
+        self, service, tmp_path, monkeypatch
+    ):
+        import repro.core.deltas as deltas
+
+        built = []
+        original = deltas._materialize
+
+        def counting(state):
+            built.append(state.version)
+            return original(state)
+
+        monkeypatch.setattr(deltas, "_materialize", counting)
+        # Compacting every two records makes recovery restore a snapshot.
+        service.attach_journal(DeltaJournal(tmp_path, compact_every=2))
+        server = PlanningServer(service, workers=1, max_queue=8)
+        try:
+            plan = server.submit(ServeRequest(deadline_s=5.0)).result(30.0).plan
+            # Sessions opened after a delta fork the service's view.
+            server.apply_delta(CatalogDelta(kind=DELTA_CLOSE, item_id="p4"))
+            sessions = [
+                server.open_session(plan, executed=1) for _ in range(2)
+            ]
+            victim = plan.item_ids[-1]
+            deltas_in = [
+                CatalogDelta(kind=DELTA_CLOSE, item_id=victim),
+                CatalogDelta(kind=DELTA_CLOSE, item_id="p2"),
+                # s3 needs p2 or p3: the second close orphans it.
+                CatalogDelta(kind=DELTA_CLOSE, item_id="p3"),
+                CatalogDelta(
+                    kind="credit_change", item_id="s5", credits=4.0
+                ),
+            ]
+            for delta in deltas_in:
+                server.apply_delta(delta)
+                served = server.submit(ServeRequest(deadline_s=5.0))
+                assert served.result(30.0).ok
+            for session in sessions:
+                assert session.pending_deltas >= 1
+                result = server.submit_replan(session, deadline_s=5.0)
+                result = result.result(30.0)
+                assert result.ok and result.rung == "sarsa"
+                assert victim not in result.plan.item_ids[1:]
+            rejected = server.submit(
+                ServeRequest(start_item_id="s3", deadline_s=5.0)
+            ).result(30.0)
+            assert rejected.outcome == "rejected"
+        finally:
+            server.close()
+
+        restarted = PlanningService(
+            service.catalog, service.task, service.config,
+            planner=service.planner,
+        )
+        recovery = restarted.attach_journal(DeltaJournal(tmp_path))
+        assert recovery.restored and recovery.snapshot_seq > 0
+        assert recovery.catalog_version == 5
+        assert restarted.serve(ServeRequest(deadline_s=5.0)).ok
+        assert built == []
+
+        live = restarted.live_catalog
+        assert restarted.live_catalog is live
+        assert built == [5]
+        assert "s3" not in live and victim not in live
+        assert live.name == f"{service.catalog.name}@v5"
